@@ -1,24 +1,45 @@
 // Command spmv-serve exposes the multi-tenant SpMV service (internal/serve)
-// over HTTP+JSON on loopback: named matrices are registered once
-// (generated, partitioned, converted to the session's storage format) and
-// then served by a pool of warm resident clusters, with per-tenant
-// admission control and batched dispatch keeping the steady state on the
-// runtime's zero-allocation path.
+// over HTTP on loopback: named matrices are registered once (generated,
+// partitioned, converted to the session's storage format) and then served
+// by a pool of warm resident clusters, with per-tenant admission control
+// and batched dispatch keeping the steady state on the runtime's
+// zero-allocation path.
 //
-// Start a server and drive it:
+// Start a server and drive it by hand, in JSON:
 //
 //	spmv-serve -addr 127.0.0.1:8311 -ranks 4 -threads 2 &
-//	curl -s -X POST 127.0.0.1:8311/v1/register -d '{
+//	J='Content-Type: application/json'
+//	curl -s -H "$J" 127.0.0.1:8311/v1/register -d '{
 //	    "name": "band", "mode": "task-mode",
 //	    "spec": {"kind": "random", "n": 4000, "bandwidth": 64, "per_row": 8, "spd": true}}'
-//	curl -s -X POST 127.0.0.1:8311/v1/mul -d '{"tenant": "a", "matrix": "band", "seed": 1, "iters": 10}'
-//	curl -s -X POST 127.0.0.1:8311/v1/solve -d '{"tenant": "a", "matrix": "band", "seed": 2}'
+//	curl -s -H "$J" 127.0.0.1:8311/v1/mul -d '{"tenant": "a", "matrix": "band", "seed": 1, "iters": 10}'
+//	curl -s -H "$J" 127.0.0.1:8311/v1/solve -d '{"tenant": "a", "matrix": "band", "seed": 2}'
 //	curl -s 127.0.0.1:8311/v1/stats
 //
 // Endpoints: POST /v1/register, /v1/mul, /v1/solve; GET /v1/matrix/{name},
-// /v1/stats, /healthz. Admission rejections return 429, unknown matrices
-// 404, malformed requests 400 (with valid tokens enumerated), a draining
-// server 503.
+// /v1/stats, /healthz.
+//
+// /v1/mul and /v1/solve speak two body encodings and answer in the one they
+// were asked in (the response mirrors the request's Content-Type):
+// application/json as above, and application/x-spmv-f64, which programs
+// use — serve.Client and cmd/spmv-load among them — because a vector of
+// float64s printed and parsed as decimals costs ten times the
+// multiplication it feeds. A binary body is one little-endian frame,
+//
+//	u32 metaLen | meta | u32 n | n × float64
+//
+// where meta is the same JSON object minus its vector ("x" in a request,
+// "y" in a response) and the vector follows as raw IEEE-754 bits; n is 0
+// (x is derived from the seed) or the matrix's row count. curl's default
+// form-encoded Content-Type, like any other, is a 415: pass the -H above.
+//
+// Errors are JSON {"error": "..."} in either encoding. Admission
+// rejections return 429, unknown matrices 404, malformed requests 400 (bad
+// JSON with valid tokens enumerated; a frame that is short, has meta over
+// 4 KB or not JSON, an n that is neither 0 nor the row count, or trailing
+// bytes), a body over 64 MB 413, a missed deadline 504, a draining server
+// 503. A result with a NaN or ±Inf in it cannot be written as JSON and is
+// a 500 that says so; ask for it in the binary encoding.
 //
 // Every response is a pure function of (spec, geometry, seed): verify it
 // bit for bit with cmd/spmv-load -verify, which rebuilds the server's

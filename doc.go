@@ -363,7 +363,32 @@
 // internal/serve lifts the resident runtime into a long-running service —
 // the shape the paper's application codes take when the same operator is
 // hit by many independent request streams. cmd/spmv-serve exposes it over
-// HTTP+JSON on loopback; cmd/spmv-load is its throughput/latency harness.
+// HTTP on loopback; cmd/spmv-load is its throughput/latency harness.
+//
+// The wire has two encodings for the two requests that carry vectors,
+// POST /v1/mul and /v1/solve, chosen by the request's Content-Type and
+// mirrored by the response. application/json is the form to type:
+//
+//	curl -s -H 'Content-Type: application/json' 127.0.0.1:8311/v1/mul \
+//	    -d '{"tenant": "a", "matrix": "band", "seed": 1, "iters": 10}'
+//
+// application/x-spmv-f64 is the form programs speak (serve.Client, and
+// through it spmv-load and the benchmark): one little-endian frame
+// u32 metaLen | meta | u32 n | n × float64, where meta is the same
+// OpRequest / Response struct as JSON with its vector left nil — one
+// definition of the fields for both encodings — and the vector travels as
+// raw float64 bits, n being 0 (seed-derived x) or the row count. The
+// benchmark's ruler put 4.2 ms of a 4.5 ms served multiplication in
+// printing and parsing decimals; the frame moves the same request in
+// 0.55 ms, of which the kernel is half (go test -bench WireMul -benchmem
+// ./internal/serve shows both). The server decodes defensively: meta is
+// capped at 4 KB, the element count is checked against the named matrix
+// before the vector is read, every body is capped at 64 MB (413), a short
+// frame, a wrong count or a trailing byte is a 400, any other
+// Content-Type a 415 — FuzzReadFrame holds the decoder to typed errors.
+// Errors, register, matrix info and stats are JSON in either case. JSON
+// cannot write NaN or ±Inf, so a non-finite result is a 500 naming the
+// binary encoding, which carries y's bits whatever they are.
 //
 // The architecture is three layers over one shared plan. The REGISTRY
 // loads or generates each named matrix once (deterministically, from a

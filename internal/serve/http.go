@@ -3,7 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"mime"
 	"net/http"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -40,6 +44,24 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// request is the wire form as the in-process request it describes.
+func (or *OpRequest) request(op Op) *Request {
+	return &Request{
+		Tenant: or.Tenant, Matrix: or.Matrix, Op: op,
+		Seed: or.Seed, X: or.X,
+		Iters: or.Iters, Tol: or.Tol, MaxIter: or.MaxIter,
+		DeadlineMs: or.DeadlineMs, Priority: or.Priority,
+	}
+}
+
+// mediaTypeError rejects an op body in an encoding the handler does not
+// speak. The HTTP layer maps it to 415.
+type mediaTypeError struct{ got string }
+
+func (e *mediaTypeError) Error() string {
+	return fmt.Sprintf("serve: unsupported Content-Type %q (send %s or %s)", e.got, ContentTypeJSON, ContentTypeF64)
+}
+
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/register        {name, spec, mode?, format?} → MatrixInfo
@@ -49,9 +71,29 @@ type errorBody struct {
 //	GET  /v1/stats           → Stats
 //	GET  /healthz            → 200 "ok"
 //
-// Admission rejections map to 429, unknown matrices to 404, malformed
-// requests to 400, a missed deadline to 504, and a closed or draining
-// server, an open circuit breaker, or a brown-out shed to 503.
+// /v1/mul and /v1/solve take their body in one of two encodings, chosen
+// by the request's Content-Type, and the 200 response mirrors it:
+//
+//   - application/json (or no Content-Type): OpRequest and Response as
+//     JSON, the form to type into curl;
+//   - application/x-spmv-f64: one frame u32 metaLen | meta | u32 n |
+//     n × float64, little-endian, where meta is the same OpRequest /
+//     Response as JSON with its vector left out and the vector (x in, y
+//     out) follows as raw float64 bits. n is 0 (derive x from the seed) or
+//     the matrix's row count. This is what Client speaks.
+//
+// Any other Content-Type is a 415. Everything else — register, matrix,
+// stats, and every error on every endpoint — is JSON: an error is always
+// {"error": "..."} with the status saying which kind. Admission rejections
+// map to 429, unknown matrices to 404, malformed requests to 400 (bad
+// JSON, and for a frame: a short header, meta over 4 KB or not JSON, an
+// element count that is neither 0 nor the row count, a truncated payload,
+// trailing bytes), a body over 64 MB to 413, a missed deadline to 504, and
+// a closed or draining server, an open circuit breaker, or a brown-out
+// shed to 503. A result JSON cannot represent — a NaN or ±Inf — is a 500
+// whose message names the binary encoding, which carries y's bits as they
+// are; the frame's meta is JSON too, so a solve whose residual itself is
+// non-finite is a 500 in both encodings.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/register", s.handleRegister)
@@ -67,8 +109,8 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &ValidationError{Msg: "bad register body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		writeError(w, bodyError("register body", err))
 		return
 	}
 	mode := s.cfg.Mode
@@ -108,33 +150,122 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleOp(op Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var or OpRequest
-		if err := json.NewDecoder(r.Body).Decode(&or); err != nil {
-			writeError(w, &ValidationError{Msg: "bad " + op.String() + " body: " + err.Error()})
-			return
+		ctype := r.Header.Get("Content-Type")
+		if mt, _, err := mime.ParseMediaType(ctype); err == nil {
+			ctype = mt
 		}
-		req := &Request{
-			Tenant: or.Tenant, Matrix: or.Matrix, Op: op,
-			Seed: or.Seed, X: or.X,
-			Iters: or.Iters, Tol: or.Tol, MaxIter: or.MaxIter,
-			DeadlineMs: or.DeadlineMs, Priority: or.Priority,
+		body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		var req *Request
+		var err error
+		switch ctype {
+		case ContentTypeF64:
+			req, err = s.readOpFrame(body, op)
+		case ContentTypeJSON, "":
+			var or OpRequest
+			if err = json.NewDecoder(body).Decode(&or); err != nil {
+				err = bodyError(op.String()+" body", err)
+				break
+			}
+			req = or.request(op)
+		default:
+			err = &mediaTypeError{got: ctype}
+		}
+		if err != nil {
+			writeError(w, err)
+			return
 		}
 		resp, err := s.Do(req)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, resp)
+		if ctype == ContentTypeF64 {
+			writeFrame(w, resp)
+		} else {
+			writeJSON(w, resp)
+		}
 	}
+}
+
+// readOpFrame decodes a binary op body. The frame's element count is
+// judged — by the request's own validation, then against the matrix's row
+// count — before the vector is read, so a frame cannot make the server
+// allocate more than the matrix it names justifies.
+func (s *Server) readOpFrame(body io.Reader, op Op) (*Request, error) {
+	var or OpRequest
+	var req *Request
+	x, err := readFrame(body, &or, func(n int) error {
+		if or.X != nil {
+			return &ValidationError{Msg: "bad frame: meta carries x; the vector belongs in the payload"}
+		}
+		req = or.request(op)
+		if n == 0 {
+			return nil // seed-derived input: Do validates the rest
+		}
+		if err := req.validate(); err != nil {
+			return err
+		}
+		info, err := s.Matrix(req.Matrix)
+		if err != nil {
+			return err
+		}
+		if n != info.Rows {
+			return inputLengthError(n, req.Matrix, info.Rows)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	req.X = x
+	return req, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.Stats())
 }
 
+// bodyError types a failed body read: malformed is the sender's mistake
+// (400), over maxBodyBytes keeps its *http.MaxBytesError (413).
+func bodyError(what string, err error) error {
+	var big *http.MaxBytesError
+	if errors.As(err, &big) {
+		return err
+	}
+	return &ValidationError{Msg: "bad " + what + ": " + err.Error()}
+}
+
+// writeJSON marshals before it writes, so a value encoding/json refuses —
+// a non-finite float — becomes an error response, not a 200 with no body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	data, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, fmt.Errorf("serve: result is not representable in JSON (%v); request it with Content-Type %s", err, ContentTypeF64))
+		return
+	}
+	writeBody(w, ContentTypeJSON, append(data, '\n'))
+}
+
+// writeFrame answers a binary op: the Response minus Y as meta, Y as the
+// payload.
+func writeFrame(w http.ResponseWriter, resp *Response) {
+	meta := *resp
+	meta.Y = nil
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	frame, err := appendFrame((*bp)[:0], &meta, resp.Y)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	*bp = frame
+	writeBody(w, ContentTypeF64, frame)
+}
+
+func writeBody(w http.ResponseWriter, ctype string, body []byte) {
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -145,6 +276,8 @@ func writeError(w http.ResponseWriter, err error) {
 	var ddl *core.DeadlineError
 	var brk *BreakerError
 	var shd *ShedError
+	var big *http.MaxBytesError
+	var med *mediaTypeError
 	switch {
 	case errors.As(err, &rej):
 		status = http.StatusTooManyRequests
@@ -152,13 +285,17 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.As(err, &val):
 		status = http.StatusBadRequest
+	case errors.As(err, &big):
+		status = http.StatusRequestEntityTooLarge
+	case errors.As(err, &med):
+		status = http.StatusUnsupportedMediaType
 	case errors.As(err, &ddl):
 		status = http.StatusGatewayTimeout
 	case errors.As(err, &brk), errors.As(err, &shd),
 		errors.Is(err, ErrClosed), errors.Is(err, ErrDraining):
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
 }

@@ -18,39 +18,82 @@ import (
 	"repro/internal/solver"
 )
 
-// Client is a thin JSON client for the serving API, shared by the load
-// generator (RunLoad), cmd/spmv-load and the benchmark harness.
+// Client is a thin client for the serving API, shared by the load
+// generator (RunLoad), cmd/spmv-load and the benchmark harness. Mul and
+// Solve speak the binary encoding (ContentTypeF64); Register and Stats are
+// JSON.
 type Client struct {
 	Base string // e.g. "http://127.0.0.1:8311"
 	HTTP *http.Client
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+// send issues one request and returns its 200 response, body open; any
+// other status comes back as a *StatusError carrying the server's message.
+func (c *Client) send(method, path, ctype string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequest(method, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	return http.DefaultClient
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	hc := c.HTTP
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	hr, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if hr.StatusCode != http.StatusOK {
+		defer hr.Body.Close()
+		var eb errorBody
+		data, _ := io.ReadAll(io.LimitReader(hr.Body, 4096))
+		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
+			return nil, &StatusError{Code: hr.StatusCode, Msg: eb.Error}
+		}
+		return nil, &StatusError{Code: hr.StatusCode, Msg: string(data)}
+	}
+	return hr, nil
 }
 
+// post sends req as JSON and decodes the JSON answer into resp.
 func (c *Client) post(path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	hr, err := c.httpClient().Post(c.Base+path, "application/json", bytes.NewReader(body))
+	hr, err := c.send(http.MethodPost, path, ContentTypeJSON, body)
 	if err != nil {
 		return err
 	}
 	defer hr.Body.Close()
-	if hr.StatusCode != http.StatusOK {
-		var eb errorBody
-		data, _ := io.ReadAll(io.LimitReader(hr.Body, 4096))
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			return &StatusError{Code: hr.StatusCode, Msg: eb.Error}
-		}
-		return &StatusError{Code: hr.StatusCode, Msg: string(data)}
-	}
 	return json.NewDecoder(hr.Body).Decode(resp)
+}
+
+// op sends req as a binary frame — X as the payload — and decodes the
+// frame that answers it.
+func (c *Client) op(path string, req OpRequest) (*Response, error) {
+	x := req.X
+	req.X = nil
+	frame, err := appendFrame(nil, &req, x)
+	if err != nil {
+		return nil, err
+	}
+	hr, err := c.send(http.MethodPost, path, ContentTypeF64, frame)
+	if err != nil {
+		return nil, err
+	}
+	defer hr.Body.Close()
+	if ct := hr.Header.Get("Content-Type"); ct != ContentTypeF64 {
+		return nil, fmt.Errorf("serve: %s answered a %s request with Content-Type %q", path, ContentTypeF64, ct)
+	}
+	var resp Response
+	resp.Y, err = readFrame(hr.Body, &resp, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // StatusError is a non-200 API response.
@@ -81,32 +124,20 @@ func (c *Client) Register(req RegisterRequest) (MatrixInfo, error) {
 }
 
 // Mul requests y = A^iters·x.
-func (c *Client) Mul(req OpRequest) (*Response, error) {
-	var resp Response
-	if err := c.post("/v1/mul", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
+func (c *Client) Mul(req OpRequest) (*Response, error) { return c.op("/v1/mul", req) }
 
 // Solve requests a CG solve.
-func (c *Client) Solve(req OpRequest) (*Response, error) {
-	var resp Response
-	if err := c.post("/v1/solve", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
+func (c *Client) Solve(req OpRequest) (*Response, error) { return c.op("/v1/solve", req) }
 
 // Stats fetches the server's counters.
 func (c *Client) Stats() (Stats, error) {
 	var st Stats
-	body, err := c.httpClient().Get(c.Base + "/v1/stats")
+	hr, err := c.send(http.MethodGet, "/v1/stats", "", nil)
 	if err != nil {
 		return st, err
 	}
-	defer body.Body.Close()
-	return st, json.NewDecoder(body.Body).Decode(&st)
+	defer hr.Body.Close()
+	return st, json.NewDecoder(hr.Body).Decode(&st)
 }
 
 // Verifier checks served responses bit for bit against an independently

@@ -405,9 +405,11 @@ func (s *Server) Do(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// prepare validates the request, pins its matrix against eviction, and
-// materializes the input and result buffers.
-func (s *Server) prepare(req *Request) error {
+// validate checks the request's own parameters and fills in their
+// defaults — everything prepare can decide without looking the matrix up.
+// It is idempotent: the binary wire calls it before it sizes the input
+// vector, and prepare calls it again.
+func (req *Request) validate() error {
 	if req.Tenant == "" {
 		return &ValidationError{Msg: "request needs a tenant"}
 	}
@@ -438,6 +440,21 @@ func (s *Server) prepare(req *Request) error {
 	if req.DeadlineMs < 0 {
 		return &ValidationError{Msg: fmt.Sprintf("deadline must be ≥ 0 ms, got %d", req.DeadlineMs)}
 	}
+	return nil
+}
+
+// inputLengthError is the rejection of an explicit input whose length is
+// not the matrix's row count.
+func inputLengthError(n int, matrix string, rows int) error {
+	return &ValidationError{Msg: fmt.Sprintf("input length %d, matrix %q has %d rows", n, matrix, rows)}
+}
+
+// prepare validates the request, pins its matrix against eviction, and
+// materializes the input and result buffers.
+func (s *Server) prepare(req *Request) error {
+	if err := req.validate(); err != nil {
+		return err
+	}
 	ent, err := s.reg.pin(req.Matrix)
 	if err != nil {
 		return err
@@ -445,7 +462,7 @@ func (s *Server) prepare(req *Request) error {
 	rows := ent.info.Rows
 	if req.X != nil && len(req.X) != rows {
 		s.reg.unpin(ent)
-		return &ValidationError{Msg: fmt.Sprintf("input length %d, matrix %q has %d rows", len(req.X), req.Matrix, rows)}
+		return inputLengthError(len(req.X), req.Matrix, rows)
 	}
 	req.ent = ent
 	req.x = req.X
