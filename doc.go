@@ -328,10 +328,12 @@
 // real cores; internal/simnet reaches the same rank counts on a laptop by
 // running the UNMODIFIED resident runtime — core.Cluster, Supervisor,
 // solver.DistCG, the persistent-channel halo exchange — on a third
-// core.Transport whose world lives in virtual time. Every rank is a
-// goroutine scheduled one-at-a-time by the internal/des event kernel
-// (deterministic by construction), payload bytes move for real (the
-// conformance suite asserts DistCG on sim is bit-identical to chan), and
+// core.Transport whose world lives in virtual time. Virtual time advances
+// one event at a time on the internal/des kernel (deterministic by
+// construction; the planner's ranks are des.Procs, coroutines the kernel
+// resumes one at a time without a trip through the Go scheduler), payload
+// bytes move for real and only once (the conformance suite asserts DistCG
+// on sim is bit-identical to chan), and
 // every Comm operation is costed by a calibrated network model:
 // latency/bandwidth links under fluid-flow contention (internal/fluid),
 // an eager/rendezvous protocol switch at the MPI library's threshold, and

@@ -1,8 +1,13 @@
 // Package des is a process-oriented discrete-event simulation kernel.
-// Simulated threads (Procs) are goroutines that execute strictly one at a
-// time, exchanging a control token with the scheduler, so simulation state
-// needs no locking and runs are fully deterministic: events at equal times
-// fire in scheduling order.
+// Simulated threads (Procs) are coroutines (iter.Pull) the scheduler resumes
+// strictly one at a time, so simulation state needs no locking and runs are
+// fully deterministic: events at equal times fire in scheduling order. A
+// coroutine switch hands the thread over directly; two goroutines trading a
+// token cross the Go scheduler twice per wake and futex-wake an idle P.
+//
+// A panic in a proc body propagates to the caller of Run (or Step). When Run
+// ends with procs still blocked — a deadlock, or such a panic — it unwinds
+// them: their deferred functions run and no goroutine outlives Run.
 //
 // The cluster simulator builds on this kernel: MPI processes are Procs,
 // compute and communication are fluid flows whose completions are events.
@@ -25,25 +30,23 @@
 //repro:virtualtime
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Sim is a discrete-event simulator instance.
 type Sim struct {
-	now    float64
-	events []*Event // binary heap ordered by (t, seq)
-	seq    int64
-	free   []*Event // recycled event objects
-
-	yield chan struct{} // proc → scheduler handoff
-	live  int           // procs started and not yet finished
-
+	now     float64
+	events  []*Event // binary heap ordered by (t, seq)
+	seq     int64
+	free    []*Event // recycled event objects
+	procs   []*Proc  // spawned and not yet finished
 	running bool
 }
 
 // New creates an empty simulator at time 0.
-func New() *Sim {
-	return &Sim{yield: make(chan struct{})}
-}
+func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
@@ -102,13 +105,8 @@ func (s *Sim) After(d float64, fn func()) *Event {
 //
 //repro:noalloc
 func (s *Sim) Pending() bool {
-	for len(s.events) > 0 {
-		if !s.events[0].cancelled {
-			return true
-		}
-		s.recycle(s.pop())
-	}
-	return false
+	_, ok := s.NextAt()
+	return ok
 }
 
 // NextAt returns the time of the next uncancelled event without firing
@@ -129,24 +127,19 @@ func (s *Sim) NextAt() (t float64, ok bool) {
 }
 
 // Step pops and executes the next event, advancing the clock to its time.
-// It returns false if no uncancelled event remains. The fired event object
-// is recycled after its callback returns.
+// It returns false if no uncancelled event remains.
 //
 //repro:noalloc
 func (s *Sim) Step() bool {
-	for len(s.events) > 0 {
-		e := s.pop()
-		if e.cancelled {
-			s.recycle(e)
-			continue
-		}
-		s.now = e.t
-		fn := e.fn
-		s.recycle(e)
-		fn()
-		return true
+	if !s.Pending() {
+		return false
 	}
-	return false
+	e := s.pop()
+	s.now = e.t
+	fn := e.fn
+	s.recycle(e)
+	fn()
+	return true
 }
 
 // recycle returns a popped event to the freelist.
@@ -162,56 +155,57 @@ func (s *Sim) recycle(e *Event) {
 type Proc struct {
 	sim    *Sim
 	name   string
-	resume chan struct{}
-	dead   bool
+	idx    int                     // position in sim.procs; -1 once finished
+	next   func() (struct{}, bool) // run the body until it blocks; !ok once it has returned
+	stop   func()                  // make a blocked body's yield return false
+	yield  func(struct{}) bool     // body side: hand control back to the scheduler
+	wakeFn func()                  // resident event callback: handoff(p)
 }
 
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.sim.now }
 
 // Spawn creates a proc that will start executing fn at the current virtual
-// time (or at simulation start). fn runs in its own goroutine but under the
-// one-at-a-time token discipline.
+// time (or at simulation start). fn runs as a coroutine of the scheduler; if
+// it panics, the panic surfaces where Run was called.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
-	s.live++
-	s.At(s.now, func() {
-		go func() {
-			<-p.resume // wait for the start token
-			fn(p)
-			p.dead = true
-			s.yield <- struct{}{} // return the token for good
+	p := &Proc{sim: s, name: name, idx: len(s.procs)}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != any(p) { // p itself: block's unwind
+				panic(r)
+			}
 		}()
-		s.handoff(p)
+		fn(p)
 	})
+	p.wakeFn = func() { s.handoff(p) }
+	s.procs = append(s.procs, p)
+	s.At(s.now, p.wakeFn)
 	return p
 }
 
-// handoff gives the control token to p and waits for it back.
-// Runs in the scheduler context.
+// handoff, in the scheduler context, runs p until it blocks or finishes.
 func (s *Sim) handoff(p *Proc) {
-	p.resume <- struct{}{}
-	<-s.yield
-	if p.dead {
-		s.live--
+	if _, ok := p.next(); ok || p.idx < 0 {
+		return
 	}
+	n := len(s.procs) - 1
+	last := s.procs[n]
+	s.procs[p.idx], last.idx = last, p.idx
+	s.procs[n] = nil
+	s.procs = s.procs[:n]
+	p.idx = -1 // a stale wake event finds nothing left to do
 }
 
 // block suspends the calling proc until the scheduler wakes it.
 func (p *Proc) block() {
-	p.sim.yield <- struct{}{} // give the token back
-	<-p.resume                // wait to be woken
-}
-
-// wake schedules p to resume at time t.
-func (s *Sim) wakeAt(t float64, p *Proc) *Event {
-	return s.At(t, func() { s.handoff(p) })
+	if !p.yield(struct{}{}) {
+		panic(p) // Run is over: unwind the body (its defers run); Spawn recovers
+	}
 }
 
 // Sleep suspends the proc for d seconds of virtual time.
@@ -219,7 +213,7 @@ func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative sleep %g", d))
 	}
-	p.sim.wakeAt(p.sim.now+d, p)
+	p.sim.At(p.sim.now+d, p.wakeFn)
 	p.block()
 }
 
@@ -249,10 +243,11 @@ func (g *Signal) Fire() {
 		return
 	}
 	g.fired = true
-	for _, p := range g.waiters {
-		g.sim.wakeAt(g.sim.now, p)
+	for i, p := range g.waiters {
+		g.sim.At(g.sim.now, p.wakeFn)
+		g.waiters[i] = nil
 	}
-	g.waiters = nil
+	g.waiters = g.waiters[:0]
 	// Index loop with a live length check: a callback may legally Reset
 	// this signal (pooled flows recycle inside their Done callbacks), which
 	// truncates the list mid-fire.
@@ -314,24 +309,28 @@ func (p *Proc) WaitAll(signals ...*Signal) {
 	}
 }
 
-// Run processes events until none remain. It returns an error if procs are
-// still blocked when the event queue drains (a simulation deadlock).
+// Run processes events until none remain. Procs still blocked when the queue
+// drains are a simulation deadlock: Run unwinds them and returns an error.
 func (s *Sim) Run() error {
 	if s.running {
 		panic("des: Run reentered")
 	}
 	s.running = true
-	defer func() { s.running = false }()
+	defer func() {
+		s.running = false
+		for len(s.procs) > 0 {
+			p := s.procs[len(s.procs)-1]
+			p.stop()
+			s.handoff(p) // next now reports the body finished
+		}
+	}()
 	for s.Step() {
 	}
-	if s.live > 0 {
-		return fmt.Errorf("des: deadlock: %d proc(s) still blocked at t=%g", s.live, s.now)
+	if n := len(s.procs); n > 0 {
+		return fmt.Errorf("des: deadlock: %d proc(s) still blocked at t=%g", n, s.now)
 	}
 	return nil
 }
-
-// Live reports the number of spawned procs that have not yet finished.
-func (s *Sim) Live() int { return s.live }
 
 // push inserts e into the (t, seq)-ordered binary heap. Inlined rather
 // than container/heap so pooled events never round-trip through an

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -168,13 +169,64 @@ func TestWaitAll(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
+	// A deadlocked Run reports it, unwinds the blocked procs so their
+	// deferred functions run, and leaves no goroutine behind.
+	before := runtime.NumGoroutine()
 	s := New()
 	sig := s.NewSignal()
-	s.Spawn("stuck", func(p *Proc) {
-		p.Wait(sig) // never fired
-	})
+	unwound, resumed := 0, 0
+	for i := 0; i < 3; i++ {
+		s.Spawn("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(1)
+			p.Wait(sig) // never fired
+			resumed++
+		})
+	}
 	if err := s.Run(); err == nil {
 		t.Error("deadlock not reported")
+	}
+	if unwound != 3 || resumed != 0 {
+		t.Errorf("%d bodies unwound, %d resumed; want 3, 0", unwound, resumed)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines after a deadlocked Run, %d before it", after, before)
+	}
+	sig.Fire() // the stale wake-ups of unwound procs are harmless
+	if err := s.Run(); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestProcPanicSurfacesAtRun(t *testing.T) {
+	// A panicking body is the Run caller's to recover — with its own value,
+	// not a crash from a bare goroutine — and the procs it strands are
+	// unwound on the way out.
+	before := runtime.NumGoroutine()
+	s := New()
+	unwound := false
+	s.Spawn("bystander", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(10)
+	})
+	s.Spawn("bad", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v at Run's caller, want boom", r)
+			}
+		}()
+		_ = s.Run()
+		t.Error("Run returned past a panicking proc")
+	}()
+	if !unwound {
+		t.Error("the stranded proc was not unwound")
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines after the panic, %d before it", after, before)
 	}
 }
 
@@ -267,5 +319,55 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 	if !childRan {
 		t.Error("child never ran")
+	}
+}
+
+func TestSpawnFromEventCallback(t *testing.T) {
+	s := New()
+	var startedAt, doneAt float64 = -1, -1
+	s.At(3, func() {
+		s.Spawn("late", func(p *Proc) {
+			startedAt = p.Now()
+			p.Sleep(2)
+			doneAt = p.Now()
+		})
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if startedAt != 3 || doneAt != 5 {
+		t.Errorf("proc spawned by an event ran %g → %g, want 3 → 5", startedAt, doneAt)
+	}
+}
+
+func TestFireThenResetInsideCallback(t *testing.T) {
+	// Pooled flows recycle — Reset — their Done signal inside its own
+	// callback: the waiters Fire already released still wake, and the
+	// signal is armed again for its next use.
+	s := New()
+	sig := s.NewSignal()
+	var woke []float64
+	for i := 0; i < 2; i++ {
+		s.Spawn("w", func(p *Proc) {
+			p.Wait(sig)
+			woke = append(woke, p.Now())
+			p.Wait(sig) // the re-armed signal: blocks until the second Fire
+			woke = append(woke, p.Now())
+		})
+	}
+	sig.OnFire(func() { sig.Reset() })
+	s.At(1, sig.Fire)
+	s.At(4, sig.Fire)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1, 1, 4, 4}
+	if len(woke) != len(want) {
+		t.Fatalf("woke at %v, want %v", woke, want)
+	}
+	for i := range want {
+		if woke[i] != want[i] {
+			t.Fatalf("woke at %v, want %v", woke, want)
+		}
 	}
 }

@@ -294,7 +294,9 @@ func (s *System) rebalance(touched []*Flow) {
 	now := s.sim.Now()
 	sortFlowsByID(touched)
 	for _, f := range touched {
-		if f.Done.Fired() {
+		if f.Done.Fired() || f.resources == nil {
+			// Finished in a nested completion — and, with nil resources,
+			// already recycled by its Done callback, which re-armed Done.
 			continue
 		}
 		f.advance(now)

@@ -273,3 +273,39 @@ func TestTableCapacityClamps(t *testing.T) {
 		t.Errorf("table clamping wrong: %g %g %g %g", c(0), c(1), c(2), c(9))
 	}
 }
+
+func TestRecycleInsideDoneCallbackOfSimultaneousFlows(t *testing.T) {
+	// Three equal flows on one link finish in the same instant: the first
+	// completion rebalances its neighbours, which complete in nested
+	// rebalances and are recycled by their Done callbacks while the outer
+	// rebalance still lists them. It must skip them; completing a pooled
+	// flow a second time would leave its Done fired, and the next Start to
+	// draw it from the pool would look finished before moving a byte.
+	sim := des.New()
+	sys := NewSystem(sim)
+	r := sys.NewResource("link", ConstCapacity(96)) // 192 B each at 96/3 B/s: every time is exact
+	sim.At(0, func() {
+		for i := 0; i < 3; i++ {
+			f := sys.Start(192, r)
+			f.Done.OnFire(func() { sys.Recycle(f) })
+		}
+	})
+	var reused [3]*Flow
+	sim.At(20, func() {
+		for i := range reused {
+			reused[i] = sys.Start(192, r)
+			if reused[i].Done.Fired() {
+				t.Errorf("flow %d drawn from the pool is already done", i)
+			}
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Now(); got != 26 {
+		t.Errorf("second batch finished at %g, want 26", got)
+	}
+	if n := r.Active(); n != 0 {
+		t.Errorf("%d flow(s) still attached after the run", n)
+	}
+}

@@ -57,12 +57,11 @@ func (r *rreq) errLocked() error {
 func (r *rreq) Wait() error {
 	w := r.c.w
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	r.c.enterMPI()
 	r.c.await(r.p.sig)
 	r.c.exitMPI()
-	err := r.errLocked()
-	w.mu.Unlock()
-	return err
+	return r.errLocked()
 }
 
 func (r *rreq) Done() bool {
@@ -120,10 +119,14 @@ func (c *comm) Irecv(src, tag int, buf []float64) (core.Request, error) {
 // psend is a persistent send channel. Two regimes, fixed at SendInit by
 // the buffer's wire size:
 //
-//   - eager: buffered like chanmpi — each Start snapshots the buffer into
-//     a pooled message and completes locally; Wait returns immediately.
-//     The pool exists because virtual time lets a sender run several
-//     iterations ahead of its receiver.
+//   - eager: buffered like chanmpi — each Start snapshots the buffer and
+//     completes locally; Wait returns immediately. The snapshot is the
+//     payload's only copy when a receive is already posted (the resident
+//     runtime always posts receives first): it lands in that receive's
+//     buffer, which is the transport's until its Wait. Only an unmatched
+//     message stages the payload in itself. Messages are pooled because
+//     virtual time lets a sender run several iterations ahead of its
+//     receiver.
 //   - rendezvous: one resident message referencing the caller's buffer
 //     (zero copy); Wait blocks until delivery, keeping the rank inside
 //     MPI — which is exactly what the §3 progress rule requires of a
@@ -186,11 +189,18 @@ func (p *psend) Start() error {
 			m.eager = true
 		}
 		m.n = len(p.buf)
-		m.data = append(m.data[:0], p.buf...)
 		m.wireB = wireBytes(m.n)
 		w.send(m)
 		if w.err != nil {
 			return w.worldErr()
+		}
+		// The snapshot, taken once: into the receive that send just matched,
+		// else into the message until a receive turns up.
+		m.placed = m.post != nil
+		if m.placed {
+			copy(m.post.buf[:m.n], p.buf)
+		} else {
+			m.data = append(m.data[:0], p.buf...)
 		}
 		p.lastErr = nil
 		return nil
@@ -217,16 +227,15 @@ func (p *psend) Wait() error {
 	}
 	c, w := p.c, p.c.w
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	c.enterMPI()
 	c.await(p.sig)
 	c.exitMPI()
 	p.inflight = false
-	var err error
 	if !p.sig.Fired() {
-		err = w.worldErr()
+		return w.worldErr()
 	}
-	w.mu.Unlock()
-	return err
+	return nil
 }
 
 // recycleMsg returns a delivered pooled message to its owning channel.
@@ -289,17 +298,17 @@ func (r *precv) Start() error {
 func (r *precv) Wait() error {
 	c, w := r.c, r.c.w
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	c.enterMPI()
 	c.await(r.p.sig)
 	c.exitMPI()
-	var err error
 	if r.p.err != nil {
-		err = r.p.err
-	} else if !r.p.sig.Fired() {
-		err = w.worldErr()
+		return r.p.err
 	}
-	w.mu.Unlock()
-	return err
+	if !r.p.sig.Fired() {
+		return w.worldErr()
+	}
+	return nil
 }
 
 // Waitall blocks until every request completes, counting as ONE MPI entry
@@ -308,6 +317,7 @@ func (r *precv) Wait() error {
 func (c *comm) Waitall(reqs ...core.Request) error {
 	w := c.w
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	c.enterMPI()
 	var first error
 	for _, req := range reqs {
@@ -332,6 +342,5 @@ func (c *comm) Waitall(reqs ...core.Request) error {
 		}
 	}
 	c.exitMPI()
-	w.mu.Unlock()
 	return first
 }

@@ -91,6 +91,7 @@ type msg struct {
 	owner *psend // pooled eager persistent-send msgs return here
 
 	matched   bool
+	placed    bool // payload already sits in post.buf (eager send that met a posted receive)
 	started   bool // transfer scheduled (guards double-start from stall lists)
 	arrived   bool // payload has reached the receiver in virtual time
 	delivered bool
@@ -257,7 +258,8 @@ func (w *world) arrive(m *msg) {
 }
 
 // deliver copies the payload into the receive buffer — the bit-identity
-// half of the transport — and completes both sides. Caller holds w.mu.
+// half of the transport — unless Start already placed it there, and
+// completes both sides. Caller holds w.mu.
 //
 //repro:noalloc
 func (w *world) deliver(m *msg) {
@@ -266,7 +268,9 @@ func (w *world) deliver(m *msg) {
 	}
 	m.delivered = true
 	p := m.post
-	copy(p.buf[:m.n], m.data[:m.n])
+	if !m.placed {
+		copy(p.buf[:m.n], m.data[:m.n])
+	}
 	p.n = m.n
 	if m.sendSig != nil {
 		m.sendSig.Fire()

@@ -220,33 +220,47 @@ type Result struct {
 }
 
 // proc is the per-rank planner state: which LD memory buses the rank's
-// compute threads live on.
+// compute threads live on, and the flows of its compute phase in flight.
 type proc struct {
 	lds     []*fluid.Resource
 	workers []int
 	totalW  int
+	flows   []*fluid.Flow
 }
 
-// computeFlows starts one flow per worker thread, splitting bytes evenly,
-// and returns the completion signals.
-func (p *proc) computeFlows(sys *fluid.System, bytes float64) []*des.Signal {
+// startCompute starts one flow per worker thread, splitting bytes evenly.
+func (p *proc) startCompute(sys *fluid.System, bytes float64) {
 	if p.totalW == 0 || bytes <= 0 {
-		return nil
+		return
 	}
 	share := bytes / float64(p.totalW)
-	var sigs []*des.Signal
-	for i, ld := range p.lds {
+	for i := range p.lds {
 		for w := 0; w < p.workers[i]; w++ {
-			f := sys.Start(share, ld)
-			sigs = append(sigs, f.Done)
+			// Start keeps the slice it is given: lend it p.lds' own storage.
+			p.flows = append(p.flows, sys.Start(share, p.lds[i:i+1]...))
 		}
 	}
-	return sigs
+}
+
+// joinCompute waits for the flows startCompute began and returns them to
+// the system's pool, like the message flows. It reports whether there were
+// any.
+func (p *proc) joinCompute(pr *des.Proc, sys *fluid.System) bool {
+	for _, f := range p.flows {
+		pr.Wait(f.Done)
+	}
+	for _, f := range p.flows {
+		sys.Recycle(f)
+	}
+	ran := len(p.flows) > 0
+	p.flows = p.flows[:0]
+	return ran
 }
 
 // RunPoint simulates one strong-scaling point and returns its steady-state
 // performance. The halo exchange runs over real persistent core.Comm
-// channels (data moves; zero payloads here since only structure matters),
+// channels (only structure matters here, so every channel slices one shared
+// zero source and one shared sink rather than owning a payload of its own),
 // compute phases are fluid flows on the LD memory buses with the byte
 // counts of the code-balance model:
 //
@@ -352,6 +366,17 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 		procs[r] = p
 	}
 
+	maxElems := 0
+	for r := range procs {
+		for _, seg := range wl.Sends[r] {
+			maxElems = max(maxElems, seg.Elems)
+		}
+		for _, seg := range wl.Recvs[r] {
+			maxElems = max(maxElems, seg.Elems)
+		}
+	}
+	zeros, sink := make([]float64, maxElems), make([]float64, maxElems)
+
 	kappa := wl.Kappa
 	times := make([]float64, 2)
 	for r := 0; r < ranks; r++ {
@@ -374,7 +399,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 			// the resident Workers of internal/core.
 			recvs := make([]core.PersistentRequest, len(wl.Recvs[r]))
 			for i, rx := range wl.Recvs[r] {
-				pc, err := c.RecvInit(rx.Peer, haloTag, make([]float64, rx.Elems))
+				pc, err := c.RecvInit(rx.Peer, haloTag, sink[:rx.Elems])
 				if err != nil {
 					return err
 				}
@@ -382,7 +407,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 			}
 			sends := make([]core.PersistentRequest, len(wl.Sends[r]))
 			for i, tx := range wl.Sends[r] {
-				pc, err := c.SendInit(tx.Peer, haloTag, make([]float64, tx.Elems))
+				pc, err := c.SendInit(tx.Peer, haloTag, zeros[:tx.Elems])
 				if err != nil {
 					return err
 				}
@@ -390,8 +415,8 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 			}
 
 			computePhase := func(bytes float64) {
-				if sigs := p.computeFlows(sys, bytes); sigs != nil {
-					pr.WaitAll(sigs...)
+				p.startCompute(sys, bytes)
+				if p.joinCompute(pr, sys) {
 					pr.Sleep(ompBarrier)
 				}
 			}
@@ -445,11 +470,11 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 					// This proc doubles as the communication thread: it
 					// sits inside the MPI waits, driving progress, while
 					// the team's local flows compute concurrently.
-					sigs := p.computeFlows(sys, localBytes)
+					p.startCompute(sys, localBytes)
 					if err := waitHalo(); err != nil {
 						return err
 					}
-					pr.WaitAll(sigs...) // the omp_barrier of Fig. 4c
+					p.joinCompute(pr, sys) // the omp_barrier of Fig. 4c
 					pr.Sleep(ompBarrier)
 					computePhase(remoteBytes)
 				}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/fluid"
 )
 
-// Session is the closed-world driving discipline: every rank is a des.Proc
-// under the kernel's one-at-a-time token, and one Run drains the event
+// Session is the closed-world driving discipline: every rank is a des.Proc,
+// resumed by the kernel one at a time, and one Run drains the event
 // heap. Runs are strictly deterministic event-for-event (Sim().Events() is
 // a reproducibility fingerprint), which is what the capacity planner and
 // cmd/spmv-sim build on. For plugging simulated ranks under an unmodified
@@ -61,7 +61,9 @@ func (s *Session) Spawn(rank int, body func(p *des.Proc, c core.Comm) error) {
 }
 
 // Run drains the simulation. It returns the first body error, then any
-// world failure, then the kernel's own deadlock diagnosis.
+// world failure, then the kernel's own deadlock diagnosis. A body that
+// panics does so at Run's caller; ranks still blocked when Run ends, for
+// either reason, are unwound rather than left parked.
 func (s *Session) Run() error {
 	simErr := s.w.sim.Run()
 	if s.err != nil {

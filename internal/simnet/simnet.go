@@ -25,10 +25,11 @@
 //     reductions combine in rank order), while event interleaving may vary
 //     run to run with goroutine scheduling.
 //
-//   - Session mode (NewSession): ranks are des.Procs under the kernel's
-//     one-at-a-time token, and a single Run drains the heap. This is
-//     strictly deterministic event-for-event (Sim.Events is a run
-//     fingerprint) and is what cmd/spmv-sim uses for capacity planning.
+//   - Session mode (NewSession): ranks are des.Procs — coroutines the
+//     kernel resumes one at a time — and a single Run drains the heap.
+//     This is strictly deterministic event-for-event (Sim.Events is a run
+//     fingerprint) and is what cmd/spmv-sim uses for capacity planning. A
+//     rank body's panic surfaces at Run's caller.
 //
 // If every rank is blocked and no event remains, the world fails itself
 // with a *core.PeerError naming the most likely culprit (the source of the
@@ -404,8 +405,8 @@ func (c *comm) await(sig *des.Signal) {
 			return
 		}
 		w.mu.Unlock()
+		defer w.mu.Lock() // deferred: an abandoned Run unwinds Wait, and every caller unlocks by defer
 		c.proc.Wait(sig)
-		w.mu.Lock()
 		return
 	}
 	g := c.g

@@ -404,3 +404,171 @@ func TestWorkloadFromPlanAgainstRing(t *testing.T) {
 		}
 	}
 }
+
+func TestRunPointGoldenFingerprint(t *testing.T) {
+	// One fixed point per mode, pinned to the literals the engine produced
+	// before des.Proc became a coroutine and the halo payload moved once:
+	// an engine rewrite must stay event-for-event identical to that commit,
+	// not merely to itself. The ring sends 500 elements one way (eager) and
+	// 3000 the other (rendezvous), so both protocols are in the count.
+	wl := ringWorkload(8, 20000, 200000, 20000, 3000)
+	for r := range wl.Sends {
+		wl.Sends[r][0].Elems = 500
+		wl.Recvs[r][1].Elems = 500
+	}
+	golden := map[core.Mode]Result{
+		core.VectorNoOverlap:    {Events: 3098, TimePerIter: 0x1.68553ee3c7d26p-13, GFlops: 0x1.47c8dab3a601ep+04},
+		core.VectorNaiveOverlap: {Events: 4530, TimePerIter: 0x1.8c898ab1e5386p-13, GFlops: 0x1.29db851dbabf3p+04},
+		core.TaskMode:           {Events: 4458, TimePerIter: 0x1.769065d9298bbp-13, GFlops: 0x1.3b54b26d0504cp+04},
+	}
+	for _, mode := range core.Modes {
+		got, err := RunPoint(PointConfig{Cluster: machine.WestmereCluster(), Nodes: 4, Layout: ProcPerLD, Mode: mode}, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := golden[mode]
+		if got.Events != want.Events || got.TimePerIter != want.TimePerIter || got.GFlops != want.GFlops {
+			t.Errorf("%v: events %d, time/iter %x, GFlop/s %x; golden %d, %x, %x",
+				mode, got.Events, got.TimePerIter, got.GFlops, want.Events, want.TimePerIter, want.GFlops)
+		}
+	}
+}
+
+func TestPersistentSendSnapshotsAtStart(t *testing.T) {
+	// The single-copy path: a persistent send's payload is the buffer as of
+	// Start, whichever side posts first and whichever protocol carries it.
+	// An eager Start completes locally, so the sender scribbles on its
+	// buffer straight away; a rendezvous sender owns its buffer again only
+	// after Wait, and scribbles then. Three rounds reuse the pooled
+	// messages, the last two with the eager sender running ahead.
+	for _, n := range []int{8, 1 << 15} { // eager | rendezvous
+		for _, recvFirst := range []bool{true, false} {
+			s := session2(t)
+			eager := 8*n < machine.WestmereCluster().Net.EagerThreshold
+			const rounds = 3
+			const lag = 1e-3 // the later side posts this much later
+			src := make([]float64, n)
+			dst := make([]float64, n)
+			fill := func(v float64) {
+				for i := range src {
+					src[i] = v
+				}
+			}
+			s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+				ps, err := c.SendInit(1, 0, src)
+				if err != nil {
+					return err
+				}
+				if recvFirst {
+					p.Sleep(lag)
+				}
+				for round := 1; round <= rounds; round++ {
+					fill(float64(round))
+					if err := ps.Start(); err != nil {
+						return err
+					}
+					if eager {
+						fill(-1)
+					}
+					if err := ps.Wait(); err != nil {
+						return err
+					}
+					fill(-1)
+				}
+				return nil
+			})
+			s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+				pr, err := c.RecvInit(0, 0, dst)
+				if err != nil {
+					return err
+				}
+				if !recvFirst {
+					p.Sleep(lag)
+				}
+				for round := 1; round <= rounds; round++ {
+					if err := pr.Start(); err != nil {
+						return err
+					}
+					if err := pr.Wait(); err != nil {
+						return err
+					}
+					for i, v := range dst {
+						if v != float64(round) {
+							t.Errorf("n=%d recvFirst=%v round %d: dst[%d] = %g, want %d", n, recvFirst, round, i, v, round)
+							break
+						}
+					}
+				}
+				return nil
+			})
+			if err := s.Run(); err != nil {
+				t.Fatalf("n=%d recvFirst=%v: %v", n, recvFirst, err)
+			}
+		}
+	}
+}
+
+func TestPersistentSendTruncationCopiesNothing(t *testing.T) {
+	// A receive too short for the message still completes with a
+	// *core.TruncationError on both posting orders, and the eager single
+	// copy must not have run past (or into) the short buffer.
+	for _, recvFirst := range []bool{true, false} {
+		s := session2(t)
+		backing := []float64{7, 7, 7, 7, 7, 7, 7, 7}
+		var recvErr error
+		s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+			ps, err := c.SendInit(1, 0, []float64{1, 2, 3, 4, 5, 6})
+			if err != nil {
+				return err
+			}
+			if recvFirst {
+				p.Sleep(1e-3)
+			}
+			if err := ps.Start(); err != nil {
+				return nil // the world failed under the send: the receiver reports why
+			}
+			return ps.Wait()
+		})
+		s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+			pr, err := c.RecvInit(0, 0, backing[:4])
+			if err != nil {
+				return err
+			}
+			if !recvFirst {
+				p.Sleep(1e-3)
+			}
+			if recvErr = pr.Start(); recvErr == nil {
+				recvErr = pr.Wait()
+			}
+			return nil
+		})
+		_ = s.Run() // the world failed; what matters is what the receiver saw
+		var te *core.TruncationError
+		if !errors.As(recvErr, &te) || te.Len != 6 || te.Cap != 4 {
+			t.Errorf("recvFirst=%v: receiver got %v, want a TruncationError 6 into 4", recvFirst, recvErr)
+		}
+		for i, v := range backing {
+			if v != 7 {
+				t.Errorf("recvFirst=%v: backing[%d] = %g: a truncated message was copied", recvFirst, i, v)
+			}
+		}
+	}
+}
+
+func TestSessionRunPanicIsRecoverable(t *testing.T) {
+	// A rank body's panic arrives at Session.Run's caller with its value,
+	// and the rank it stranded inside a collective is unwound, not leaked.
+	s := session2(t)
+	s.Spawn(0, func(p *des.Proc, c core.Comm) error { return c.Barrier() })
+	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+		p.Sleep(1e-6)
+		panic("rank 1 lost it")
+	})
+	defer func() {
+		if r := recover(); r != "rank 1 lost it" {
+			t.Errorf("recovered %v, want the body's panic value", r)
+		}
+	}()
+	_ = s.Run()
+	t.Error("Session.Run returned past a panicking rank")
+}
