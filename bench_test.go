@@ -482,6 +482,39 @@ func BenchmarkClusterReuse(b *testing.B) {
 	})
 }
 
+// BenchmarkSetup is what a supervisor restart, a Register and a worker
+// bring-up wait for: source → Materialize → PartitionByNnz → BuildPlan at 2
+// ranks. MB/s is plan bytes built per second; B/op next to Plan.Bytes plus
+// the matrix shows whether set-up still allocates every array once, at its
+// final size (the Holstein generator's own 256 bytes per row come on top).
+func BenchmarkSetup(b *testing.B) {
+	poisson, err := expt.PoissonSource(expt.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	holstein, err := expt.HolsteinSource(genmat.HMeP, expt.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		src  matrix.ValueSource
+	}{{"poisson-small", poisson}, {"hmep-small", holstein}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var plan *core.Plan
+			for i := 0; i < b.N; i++ {
+				a := matrix.Materialize(c.src)
+				var err error
+				if plan, err = core.BuildPlan(a, core.PartitionByNnz(a, 2), true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(plan.Bytes())
+		})
+	}
+}
+
 // ---- Fig. 1: sparsity pattern extraction ------------------------------
 
 func BenchmarkFig1Occupancy(b *testing.B) {

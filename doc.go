@@ -7,8 +7,9 @@
 // (internal/chanmpi) and are re-enacted, with the paper's MPI progress
 // semantics and calibrated ccNUMA/network models, on a discrete-event
 // cluster simulator (internal/des, fluid, machine, netmodel, simmpi,
-// simexec) that regenerates every figure of the evaluation. See README.md
-// and DESIGN.md.
+// simexec) that regenerates every figure of the evaluation. See
+// benchmark/README.md for how the repository is measured and the
+// README.md under internal/formats, internal/simnet and internal/tcpmpi.
 //
 // # The session API: core.Cluster
 //
@@ -298,7 +299,24 @@
 // formats.SELLBuilder) and converts both the full local matrix (vector
 // mode without overlap) and the local half of the column split (naive
 // overlap and task mode, via spmv.FormatSplit); the remote half always
-// stays a compacted CSR of the halo-coupled rows. See
+// stays a compacted CSR of the halo-coupled rows.
+//
+// A plan holds each rank's entries once. core.BuildPlan writes the
+// renumbered local matrix RankPlan.A in one sweep, every array allocated at
+// the size the pattern pass counted, each row as its owned columns then its
+// halo columns; in CRS the split's local half is a view of those rows'
+// prefixes (spmv.LocalView: A plus one prefix end per row), not a second
+// copy, and the remote half is a copy of the suffixes of the halo-coupled
+// rows only, emitted in the same sweep. matrix.Materialize builds the
+// global CRS matrix the same way: a parallel pattern pass, one prefix sum,
+// a parallel value pass into each row's own slot. Plan.Bytes adds up the
+// arrays a plan holds — per rank 12 bytes per entry plus 16 per row, the
+// compacted remote and the halo index lists; a converted format is
+// estimated at twice that again, its full matrix and split-local half
+// being real copies — and is what the serving registry's byte budget is
+// charged. By Eq. (1) the kernel streams exactly these bytes, so the
+// second copy a rank used to hold was also a second set of pages to fault
+// in at every set-up. See
 // internal/formats/README.md for the mode × format support matrix, when
 // SELL-C-σ beats CRS — including in the overlap modes, where the Eq. (2)
 // write-twice penalty scales with the halo — and how σ-sorting composes

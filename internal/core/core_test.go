@@ -519,10 +519,11 @@ func TestSplitChunksBalancedOnSplitNnz(t *testing.T) {
 	// Sanity: the fixture is skewed enough that the old chunking is badly
 	// imbalanced when measured in local-pass work.
 	old := spmv.BalanceNnz(rp.A.RowPtr, threads)
-	if got := chunkImbalance(old, rp.Split.Local.RowPtr); got < 2 {
+	localPrefix := rp.Split.Local.BlockNnzPrefix()
+	if got := chunkImbalance(old, localPrefix); got < 2 {
 		t.Fatalf("fixture not skewed enough: full-RowPtr chunking imbalance only %.2f", got)
 	}
-	if got := chunkImbalance(w.localChunks, rp.Split.Local.RowPtr); got > 1.1 {
+	if got := chunkImbalance(w.localChunks, localPrefix); got > 1.1 {
 		t.Errorf("local pass imbalance %.2f, want ~1 (balanced on Split.Local nnz)", got)
 	}
 	if got := chunkImbalance(w.remoteChunks, rp.Split.Remote.RowPtr); got > 1.35 {

@@ -25,8 +25,8 @@ type Exchange struct {
 }
 
 // RankPlan is everything one rank needs to run the distributed SpMV:
-// its owned rows, the renumbered local matrix (and its local/remote column
-// split), and the send/receive schedule.
+// its owned rows, the renumbered local matrix (held once: the column split
+// views it), and the send/receive schedule.
 //
 // Column renumbering: owned columns map to [0, NLocal); halo columns map to
 // NLocal + position in the sorted halo list. Because row ownership is
@@ -46,10 +46,11 @@ type RankPlan struct {
 	SendTo   []Exchange
 
 	// A is the full renumbered local matrix (vector mode without overlap
-	// runs one kernel over it). Split is the same matrix divided at column
-	// NLocal into local and remote parts (used by both overlap modes); its
-	// remote half is compacted to the halo-coupled rows. Both are nil when
-	// the plan was built pattern-only.
+	// runs one kernel over it); every row lists its owned columns, then its
+	// halo columns, ascending. Split divides it at column NLocal for the two
+	// overlap modes: the local half is a view of A's row prefixes, the
+	// remote half a copy of the halo-coupled rows' suffixes. Both are nil
+	// when the plan was built pattern-only.
 	A     *matrix.CSR
 	Split *spmv.Split
 
@@ -80,12 +81,14 @@ type Plan struct {
 	Ranks []*RankPlan
 }
 
-// Bytes estimates the plan's resident heap footprint: every rank's
-// renumbered local matrix, its column split (the same entries again,
-// divided into a local half and the compacted remote), any converted
-// storage format, and the halo metadata. It is an accounting estimate for
-// residency budgets (the serving registry evicts against it), not an
-// exact heap measurement.
+// Bytes is the plan's resident heap footprint, counted from the lengths of
+// the arrays it holds: per rank the renumbered local matrix A (12 bytes per
+// entry plus the row pointers), the split's per-row prefix ends, the
+// compacted remote half (the halo-coupled entries a second time, with their
+// row list and row pointers) and the halo metadata. A converted storage
+// format is estimated at twice A's size — the full matrix and the
+// split-local half again in that format. The serving registry evicts
+// against this number.
 func (p *Plan) Bytes() int64 {
 	var total int64
 	for _, rp := range p.Ranks {
@@ -98,9 +101,11 @@ func (p *Plan) Bytes() int64 {
 		}
 		// CSR storage: 8-byte value + 4-byte column index per entry, plus
 		// the row-pointer array.
-		csr := 12*rp.A.Nnz() + 8*int64(rp.A.NumRows+1)
-		total += csr // full local matrix
-		total += csr // column split: local half + compacted remote ≈ the same entries
+		csr := 8*int64(len(rp.A.Val)) + 4*int64(len(rp.A.ColIdx)) + 8*int64(len(rp.A.RowPtr))
+		total += csr
+		total += 8 * int64(len(rp.Split.Local.Mid))
+		rem := rp.Split.Remote
+		total += 8*int64(len(rem.Val)) + 4*int64(len(rem.ColIdx)) + 4*int64(len(rem.Rows)) + 8*int64(len(rem.RowPtr))
 		if rp.Format != nil {
 			if _, isCSR := rp.Format.(*matrix.CSR); !isCSR {
 				total += 2 * csr // converted full matrix + converted split-local half
@@ -223,14 +228,19 @@ func buildRankPlan(src matrix.PatternSource, vsrc matrix.ValueSource, part *Part
 	// here (one hash per remote nonzero) dominated full-scale plan builds.
 	lo32, hi32 := int32(rg.Lo), int32(rg.Hi)
 	var halo, buf []int32
+	remoteRows := 0 // rows with at least one nonlocal column
 	for i := rg.Lo; i < rg.Hi; i++ {
 		buf = src.AppendRow(i, buf[:0])
+		before := len(halo)
 		for _, c := range buf {
 			if c < lo32 || c >= hi32 {
 				halo = append(halo, c)
 			} else {
 				rp.NnzLocal++
 			}
+		}
+		if len(halo) > before {
+			remoteRows++
 		}
 		rp.NnzRemote += int64(len(buf))
 	}
@@ -256,34 +266,78 @@ func buildRankPlan(src matrix.PatternSource, vsrc matrix.ValueSource, part *Part
 		return rp, nil
 	}
 
-	// Pass 2: materialize the renumbered local matrix.
+	// Pass 2: write the renumbered local matrix, the end of every row's
+	// local prefix and the compacted remote half in one sweep, each array
+	// allocated once at the size pass 1 counted. A row is written as its
+	// owned columns, then its halo columns: ascending global order inside
+	// each group is ascending local order (the halo list is sorted by global
+	// index), so a source with ascending rows needs no sort.
+	nnz := rp.NnzLocal + rp.NnzRemote
 	a := &matrix.CSR{
 		NumRows: rp.NLocal,
 		NumCols: rp.VectorLen(),
 		RowPtr:  make([]int64, rp.NLocal+1),
+		ColIdx:  make([]int32, nnz),
+		Val:     make([]float64, nnz),
+	}
+	mid := make([]int64, rp.NLocal)
+	rem := &spmv.CompactCSR{
+		NumRows: a.NumRows, NumCols: a.NumCols,
+		Rows:   make([]int32, 0, remoteRows),
+		RowPtr: make([]int64, 1, remoteRows+1),
+		ColIdx: make([]int32, 0, rp.NnzRemote),
+		Val:    make([]float64, 0, rp.NnzRemote),
 	}
 	var cbuf []int32
 	var vbuf []float64
+	var p int64
 	for i := rg.Lo; i < rg.Hi; i++ {
 		cbuf, vbuf = vsrc.AppendRowValues(i, cbuf[:0], vbuf[:0])
-		for k, c := range cbuf {
-			var local int32
-			if c >= lo32 && c < hi32 {
-				local = c - lo32
-			} else {
-				h := sort.Search(len(rp.HaloCols), func(j int) bool { return rp.HaloCols[j] >= c })
-				local = int32(rp.NLocal + h)
-			}
-			a.ColIdx = append(a.ColIdx, local)
-			a.Val = append(a.Val, vbuf[k])
+		if p+int64(len(cbuf)) > nnz {
+			return nil, fmt.Errorf("core: rank %d: source row %d grew between the pattern and the value pass", rank, i)
 		}
-		a.RowPtr[i-rg.Lo+1] = int64(len(a.ColIdx))
+		row, start := i-rg.Lo, p
+		for k, c := range cbuf {
+			if c >= lo32 && c < hi32 {
+				a.ColIdx[p], a.Val[p] = c-lo32, vbuf[k]
+				p++
+			}
+		}
+		m := p
+		for k, c := range cbuf {
+			if c < lo32 || c >= hi32 {
+				h, found := slices.BinarySearch(rp.HaloCols, c)
+				if !found {
+					return nil, fmt.Errorf("core: rank %d: source row %d has column %d in the value pass but not in the pattern pass", rank, i, c)
+				}
+				a.ColIdx[p], a.Val[p] = int32(rp.NLocal+h), vbuf[k]
+				p++
+			}
+		}
+		matrix.SortRow(a.ColIdx[start:m], a.Val[start:m])
+		matrix.SortRow(a.ColIdx[m:p], a.Val[m:p])
+		mid[row], a.RowPtr[row+1] = m, p
+		if p > m {
+			rem.Rows = append(rem.Rows, int32(row))
+			rem.ColIdx = append(rem.ColIdx, a.ColIdx[m:p]...)
+			rem.Val = append(rem.Val, a.Val[m:p]...)
+			rem.RowPtr = append(rem.RowPtr, int64(len(rem.ColIdx)))
+		}
 	}
-	a.SortRows()
+	if p != nnz {
+		return nil, fmt.Errorf("core: rank %d: source yielded %d entries in the value pass, %d in the pattern pass", rank, p, nnz)
+	}
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("core: rank %d local matrix: %w", rank, err)
 	}
+	local, err := spmv.NewLocalView(a, mid)
+	if err != nil {
+		return nil, fmt.Errorf("core: rank %d: %w", rank, err)
+	}
+	if err := rem.Validate(); err != nil {
+		return nil, fmt.Errorf("core: rank %d remote half: %w", rank, err)
+	}
 	rp.A = a
-	rp.Split = spmv.NewSplit(a, rp.NLocal)
+	rp.Split = &spmv.Split{Local: local, Remote: rem, LocalCols: rp.NLocal}
 	return rp, nil
 }

@@ -1,6 +1,11 @@
 package matrix
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+)
 
 // PatternSource streams the sparsity pattern of a matrix row by row without
 // requiring the matrix to be materialized. The paper's full-scale matrices
@@ -28,17 +33,70 @@ type ValueSource interface {
 	AppendRowValues(i int, cols []int32, vals []float64) ([]int32, []float64)
 }
 
-// Materialize builds an in-memory CSR matrix from a ValueSource.
-// Rows are sorted by column index afterwards to establish canonical form.
+// Materialize builds an in-memory CSR matrix from a ValueSource, rows in
+// canonical form (ascending column index). Every array is allocated once,
+// at its final size: a pattern pass counts each row, a prefix sum places
+// it, and a value pass appends each row straight into its own slot. Both
+// passes run over disjoint row ranges in parallel — the concurrency
+// PatternSource promises. A source whose AppendRow and AppendRowValues
+// disagree on a row's length is a bug in the source: Materialize panics
+// naming the row.
 func Materialize(src ValueSource) *CSR {
 	rows, cols := src.Dims()
 	a := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
+	forRowRanges(rows, func(lo, hi int) {
+		var buf []int32
+		for i := lo; i < hi; i++ {
+			buf = src.AppendRow(i, buf[:0])
+			a.RowPtr[i+1] = int64(len(buf))
+		}
+	})
 	for i := 0; i < rows; i++ {
-		a.ColIdx, a.Val = src.AppendRowValues(i, a.ColIdx, a.Val)
-		a.RowPtr[i+1] = int64(len(a.ColIdx))
+		a.RowPtr[i+1] += a.RowPtr[i]
 	}
-	a.SortRows()
+	a.ColIdx = make([]int32, a.RowPtr[rows])
+	a.Val = make([]float64, a.RowPtr[rows])
+	forRowRanges(rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p, q := a.RowPtr[i], a.RowPtr[i+1]
+			// Capacity ends at the row's slot, so a longer row reallocates
+			// instead of running into its neighbour's.
+			c, v := src.AppendRowValues(i, a.ColIdx[p:p:q], a.Val[p:p:q])
+			if int64(len(c)) != q-p || int64(len(v)) != q-p {
+				panic(fmt.Sprintf("matrix: Materialize: row %d has %d entries in the pattern pass, %d columns and %d values in the value pass",
+					i, q-p, len(c), len(v)))
+			}
+			SortRow(c, v)
+		}
+	})
 	return a
+}
+
+// forRowRanges splits rows [0, rows) into one contiguous range per
+// processor and runs fn on each concurrently, returning when all are done.
+// A panic in fn is re-raised on the caller's goroutine.
+func forRowRanges(rows int, fn func(lo, hi int)) {
+	parts := min(runtime.GOMAXPROCS(0), rows)
+	if parts <= 1 {
+		fn(0, rows)
+		return
+	}
+	var wg sync.WaitGroup
+	panics := make([]any, parts)
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			defer func() { panics[p] = recover() }()
+			fn(p*rows/parts, (p+1)*rows/parts)
+		}(p)
+	}
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
 }
 
 // RowNnzCounts streams the pattern once and returns the number of stored

@@ -181,6 +181,7 @@ func (s *Server) handleOp(op Op) http.HandlerFunc {
 		}
 		if ctype == ContentTypeF64 {
 			writeFrame(w, resp)
+			s.recycle(req)
 		} else {
 			writeJSON(w, resp)
 		}
@@ -190,35 +191,52 @@ func (s *Server) handleOp(op Op) http.HandlerFunc {
 // readOpFrame decodes a binary op body. The frame's element count is
 // judged — by the request's own validation, then against the matrix's row
 // count — before the vector is read, so a frame cannot make the server
-// allocate more than the matrix it names justifies.
+// allocate more than the matrix it names justifies. An explicit x is
+// decoded into a pooled vector, and prepare then takes y from the pool too;
+// recycle hands both back.
 func (s *Server) readOpFrame(body io.Reader, op Op) (*Request, error) {
 	var or OpRequest
 	var req *Request
-	x, err := readFrame(body, &or, func(n int) error {
+	x, err := readFrame(body, &or, func(n int) ([]float64, error) {
 		if or.X != nil {
-			return &ValidationError{Msg: "bad frame: meta carries x; the vector belongs in the payload"}
+			return nil, &ValidationError{Msg: "bad frame: meta carries x; the vector belongs in the payload"}
 		}
 		req = or.request(op)
 		if n == 0 {
-			return nil // seed-derived input: Do validates the rest
+			return nil, nil // seed-derived input: Do validates the rest
 		}
 		if err := req.validate(); err != nil {
-			return err
+			return nil, err
 		}
 		info, err := s.Matrix(req.Matrix)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if n != info.Rows {
-			return inputLengthError(n, req.Matrix, info.Rows)
+			return nil, inputLengthError(n, req.Matrix, info.Rows)
 		}
-		return nil
+		req.xPooled = s.vecs.get(n)
+		return *req.xPooled, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	req.X = x
 	return req, nil
+}
+
+// recycle hands a binary op's pooled vectors back once Do has answered it
+// and the answer is written. Only a request that succeeded on its first
+// attempt is known to be out of every batch's hands: after an error, a
+// missed deadline or a retry, an abandoned world may still be reading x or
+// writing y, so those vectors are left to the collector.
+func (s *Server) recycle(req *Request) {
+	if req.xPooled == nil || req.attempts != 1 {
+		return
+	}
+	s.vecs.put(req.xPooled)
+	s.vecs.put(req.yPooled)
+	req.xPooled, req.yPooled = nil, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

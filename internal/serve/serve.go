@@ -273,6 +273,10 @@ type Request struct {
 	startedNs  int64
 	finishedNs int64
 	solveRes   solver.CGResult
+
+	// xPooled and yPooled are set when x and y came from Server.vecs (the
+	// HTTP handler's binary ops); see Server.recycle.
+	xPooled, yPooled *[]float64
 }
 
 // Response carries a completed request's results and timing.
@@ -296,8 +300,9 @@ type Response struct {
 // dispatcher and session pools. Create with NewServer, serve with Do (or
 // the HTTP Handler), shut down with Close.
 type Server struct {
-	cfg Config
-	reg *registry
+	cfg  Config
+	reg  *registry
+	vecs vecPool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -470,7 +475,12 @@ func (s *Server) prepare(req *Request) error {
 		req.x = make([]float64, rows)
 		FillVector(req.x, req.Seed)
 	}
-	req.y = make([]float64, rows)
+	if req.xPooled != nil {
+		req.yPooled = s.vecs.get(rows)
+		req.y = *req.yPooled
+	} else {
+		req.y = make([]float64, rows)
+	}
 	req.done = make(chan struct{})
 	req.finished = false
 	req.err = nil

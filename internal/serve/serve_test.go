@@ -322,18 +322,21 @@ func TestWorldFailureSurfacesAfterMaxAttempts(t *testing.T) {
 // matrix; pinned matrices are never evicted.
 func TestRegistryEviction(t *testing.T) {
 	small := Spec{Kind: "random", N: 300, Bandwidth: 20, PerRow: 4, Seed: 1, SPD: true}
-	one, err := small.build()
+	big := Spec{Kind: "random", N: 3000, Bandwidth: 60, PerRow: 12, Seed: 3, SPD: true}
+	// The budget holds the big matrix and one and a half small ones, whatever
+	// Plan.Bytes makes of them: "a" and "b" fit together, "c" needs one out.
+	sizes := newTestServer(t, Config{Ranks: 2})
+	infoA, err := sizes.Register("a", small)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("sizing a: %v", err)
 	}
-	_ = one
-	s := newTestServer(t, Config{Ranks: 2, ByteBudget: 1 << 20})
-	infoA, err := s.Register("a", small)
+	infoC, err := sizes.Register("c", big)
 	if err != nil {
+		t.Fatalf("sizing c: %v", err)
+	}
+	s := newTestServer(t, Config{Ranks: 2, ByteBudget: infoC.Bytes + infoA.Bytes*3/2})
+	if _, err := s.Register("a", small); err != nil {
 		t.Fatalf("register a: %v", err)
-	}
-	if 3*infoA.Bytes > 1<<20 {
-		t.Skipf("test matrix too large for the budget math: %d bytes", infoA.Bytes)
 	}
 	if _, err := s.Register("b", Spec{Kind: "random", N: 300, Bandwidth: 20, PerRow: 4, Seed: 2, SPD: true}); err != nil {
 		t.Fatalf("register b: %v", err)
@@ -342,7 +345,6 @@ func TestRegistryEviction(t *testing.T) {
 	if _, err := s.Do(&Request{Tenant: "t", Matrix: "a", Op: OpMul}); err != nil {
 		t.Fatalf("mul a: %v", err)
 	}
-	big := Spec{Kind: "random", N: 3000, Bandwidth: 60, PerRow: 12, Seed: 3, SPD: true}
 	if _, err := s.Register("c", big); err != nil {
 		t.Fatalf("register c: %v", err)
 	}

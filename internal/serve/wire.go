@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // The two body encodings of POST /v1/mul and /v1/solve. JSON is the
@@ -67,12 +68,42 @@ func appendFrame(dst []byte, meta any, vec []float64) ([]byte, error) {
 	return dst, nil
 }
 
+// vecPool recycles the two row-count-sized vectors a binary op needs on the
+// server: the x its frame is decoded into and the y its result is computed
+// in. Together they are most of what a served multiplication allocates, and
+// on a heap as small as a registered plan's that alone sets how often the
+// collector runs. A vector comes back zeroed (a solve starts from y = 0).
+type vecPool struct {
+	pool sync.Pool
+	puts atomic.Uint64 // vectors handed back
+}
+
+func (p *vecPool) get(n int) *[]float64 {
+	vp, _ := p.pool.Get().(*[]float64)
+	if vp == nil {
+		vp = new([]float64)
+	}
+	if cap(*vp) < n {
+		*vp = make([]float64, n)
+	} else {
+		*vp = (*vp)[:n]
+		clear(*vp)
+	}
+	return vp
+}
+
+func (p *vecPool) put(vp *[]float64) {
+	p.puts.Add(1)
+	p.pool.Put(vp)
+}
+
 // readFrame decodes exactly one frame from r: the JSON header into meta,
-// then the vector. check, if not nil, sees the element count — with meta
-// already filled in — before anything of that size is allocated, and its
-// error is returned as is. Every structural defect (short frame, oversized
-// or non-JSON meta, trailing bytes) is a *ValidationError.
-func readFrame(r io.Reader, meta any, check func(n int) error) ([]float64, error) {
+// then the vector. vecFor, if not nil, sees the element count — with meta
+// already filled in — before anything of that size is allocated; its error
+// is returned as is, and a vector of that length it returns is decoded
+// into in place of a fresh one. Every structural defect (short frame,
+// oversized or non-JSON meta, trailing bytes) is a *ValidationError.
+func readFrame(r io.Reader, meta any, vecFor func(n int) ([]float64, error)) ([]float64, error) {
 	bp := framePool.Get().(*[]byte)
 	defer framePool.Put(bp)
 
@@ -98,17 +129,19 @@ func readFrame(r io.Reader, meta any, check func(n int) error) ([]float64, error
 		return nil, &ValidationError{Msg: fmt.Sprintf("bad frame: %d elements exceed the %d-element cap", count, maxFrameElems)}
 	}
 	n := int(count)
-	if check != nil {
-		if err := check(n); err != nil {
+	var vec []float64
+	if vecFor != nil {
+		if vec, err = vecFor(n); err != nil {
 			return nil, err
 		}
 	}
-	var vec []float64
 	if n > 0 {
 		if buf, err = readInto(r, bp, 8*n, "payload"); err != nil {
 			return nil, err
 		}
-		vec = make([]float64, n)
+		if len(vec) != n {
+			vec = make([]float64, n)
+		}
 		for i := range vec {
 			vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}

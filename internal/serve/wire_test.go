@@ -10,7 +10,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faultmpi"
 )
 
 func postRaw(t *testing.T, srv *httptest.Server, path, ctype string, body []byte) *http.Response {
@@ -303,13 +308,129 @@ func TestClientStatsStatus(t *testing.T) {
 	}
 }
 
+// Concurrent clients over recycled vectors: every op's x is decoded into a
+// vector an earlier op used and its y is computed in another, and every Y
+// must still be the reference's bits. Under -race this also shows that a
+// vector goes back to the pool only once nothing else reads or writes it.
+func TestVecPoolConcurrentClients(t *testing.T) {
+	s := newTestServer(t, Config{Ranks: 2, Sessions: 2, BatchMax: 4, QueueDepth: 64})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	info, err := s.Register("m", testSpec)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	ver, err := NewVerifier(testSpec, info)
+	if err != nil {
+		t.Fatalf("verifier: %v", err)
+	}
+	defer ver.Close()
+
+	const clients, perClient = 6, 12
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := &Client{Base: srv.URL, HTTP: srv.Client()}
+			x := make([]float64, info.Rows)
+			for i := 0; i < perClient; i++ {
+				seed := int64(w*perClient + i + 1)
+				FillVector(x, seed)
+				req := OpRequest{Tenant: []string{"a", "b"}[w%2], Matrix: "m", Seed: seed, X: x}
+				if i%4 == 3 {
+					req.Tol, req.MaxIter = 1e-8, 500
+					resp, err := c.Solve(req)
+					if err != nil {
+						t.Errorf("client %d solve %d: %v", w, i, err)
+						return
+					}
+					if err := ver.Check(OpSolve, seed, 0, req.Tol, req.MaxIter, resp.Y); err != nil {
+						t.Errorf("client %d solve %d: %v", w, i, err)
+					}
+					continue
+				}
+				req.Iters = 1 + i%3
+				resp, err := c.Mul(req)
+				if err != nil {
+					t.Errorf("client %d mul %d: %v", w, i, err)
+					return
+				}
+				if err := ver.Check(OpMul, seed, req.Iters, 0, 0, resp.Y); err != nil {
+					t.Errorf("client %d mul %d: %v", w, i, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := s.vecs.puts.Load(), uint64(2*clients*perClient); !t.Failed() && got != want {
+		t.Errorf("%d vectors handed back to the pool, want %d (x and y of every answered op)", got, want)
+	}
+}
+
+// A request that ends in *core.DeadlineError hands nothing back: the world
+// it was abandoned on may still be reading its x and writing its y. Neither
+// does one that never ran; the next answered op recycles its own two.
+func TestVecPoolKeepsVectorsOfFailedOps(t *testing.T) {
+	faulty := &faultmpi.Transport{Sched: faultmpi.Schedule{
+		Slowdowns: []faultmpi.Slowdown{{
+			Src: 1, Dst: 0, Tag: faultmpi.Any,
+			Count: 1, Delay: 500 * time.Millisecond,
+		}},
+	}}
+	s := newTestServer(t, Config{
+		Ranks: 2, Sessions: 1,
+		Transport: func(string) func(int) core.Transport {
+			return func(int) core.Transport { return faulty }
+		},
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	info, err := s.Register("m", testSpec)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	c := &Client{Base: srv.URL, HTTP: srv.Client()}
+	x := make([]float64, info.Rows)
+	FillVector(x, 3)
+
+	_, err = c.Mul(OpRequest{Tenant: "a", Matrix: "m", X: x, DeadlineMs: 100})
+	var se *StatusError
+	if !errors.As(err, &se) || !se.DeadlineExceeded() {
+		t.Fatalf("mul over the slow link: got %v, want a 504", err)
+	}
+	if _, err = c.Mul(OpRequest{Tenant: "a", Matrix: "m", X: x, Iters: -1}); err == nil {
+		t.Fatal("mul with iters -1 accepted")
+	}
+	if got := s.vecs.puts.Load(); got != 0 {
+		t.Fatalf("%d vectors handed back after a missed deadline and a rejected request, want 0", got)
+	}
+
+	resp, err := c.Mul(OpRequest{Tenant: "a", Matrix: "m", Seed: 3, X: x})
+	if err != nil {
+		t.Fatalf("mul after the gray failure: %v", err)
+	}
+	ver, err := NewVerifier(testSpec, info)
+	if err != nil {
+		t.Fatalf("verifier: %v", err)
+	}
+	defer ver.Close()
+	if err := ver.Check(OpMul, 3, 1, 0, 0, resp.Y); err != nil {
+		t.Error(err)
+	}
+	if got := s.vecs.puts.Load(); got != 2 {
+		t.Errorf("%d vectors handed back after one answered op, want 2", got)
+	}
+}
+
 // fuzzRows is the row count FuzzReadFrame's check accepts.
 const fuzzRows = 8
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder with the
-// server's kind of check (n is 0 or the row count). It must return a typed
-// error or a vector the check allowed, and an accepted frame must survive a
-// round trip through appendFrame bit for bit.
+// server's kind of check (n is 0 or the row count) and the server's kind of
+// destination (a recycled vector still holding an older op's values). It
+// must return a typed error or a vector the check allowed, and an accepted
+// frame must survive a round trip through appendFrame bit for bit.
 func FuzzReadFrame(f *testing.F) {
 	meta := OpRequest{Tenant: "a", Matrix: "m", Seed: 3, Iters: 2}
 	x := make([]float64, fuzzRows)
@@ -320,11 +441,13 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var or OpRequest
-		vec, err := readFrame(bytes.NewReader(data), &or, func(n int) error {
+		vec, err := readFrame(bytes.NewReader(data), &or, func(n int) ([]float64, error) {
 			if n != 0 && n != fuzzRows {
-				return inputLengthError(n, or.Matrix, fuzzRows)
+				return nil, inputLengthError(n, or.Matrix, fuzzRows)
 			}
-			return nil
+			stale := make([]float64, n)
+			FillVector(stale, 9)
+			return stale, nil
 		})
 		if err != nil {
 			var val *ValidationError

@@ -158,8 +158,8 @@ func (c *CompactCSR) MulStoredRowsAdd(y, x []float64, lo, hi int) {
 
 // NewCompactRemote builds just the compacted remote half of the column
 // split at boundary localCols: the entries with columns ≥ localCols,
-// stored for halo-coupled rows only. It equals NewSplit(a, localCols).Remote
-// without materializing the local half.
+// stored for halo-coupled rows only. It asks nothing of the order of a row's
+// columns.
 func NewCompactRemote(a *matrix.CSR, localCols int) *CompactCSR {
 	if localCols < 0 || localCols > a.NumCols {
 		panic(fmt.Sprintf("spmv: split boundary %d outside [0,%d]", localCols, a.NumCols))
@@ -202,37 +202,147 @@ func NewCompactRemote(a *matrix.CSR, localCols int) *CompactCSR {
 	return rem
 }
 
+// LocalView is the local half of a column split, stored as a view: row i's
+// local entries are the prefix [A.RowPtr[i], Mid[i]) of the same row of A.
+// It needs every row of A to list its columns < LocalCols before the
+// others, which ascending rows do. No entry is stored a second time — by
+// Eq. (1) the kernel is bound by the matrix bytes it streams, and a copy
+// would double the bytes a rank holds — and the kernel is the same RowDot
+// over the same values in the same order as a column-restricted copy's, so
+// results are bit-identical to one.
+type LocalView struct {
+	A *matrix.CSR
+	// Mid has one entry per row: the end of the row's local prefix, as an
+	// offset into A.ColIdx and A.Val.
+	Mid []int64
+
+	nnz int64
+}
+
+var _ matrix.Format = (*LocalView)(nil)
+
+// NewLocalView returns the view of a whose row i ends at mid[i], after
+// checking that every mid[i] lies inside row i.
+func NewLocalView(a *matrix.CSR, mid []int64) (*LocalView, error) {
+	if len(mid) != a.NumRows {
+		return nil, fmt.Errorf("spmv: local view has %d prefix ends for %d rows", len(mid), a.NumRows)
+	}
+	v := &LocalView{A: a, Mid: mid}
+	for i, m := range mid {
+		if m < a.RowPtr[i] || m > a.RowPtr[i+1] {
+			return nil, fmt.Errorf("spmv: local view row %d: prefix end %d outside the row [%d,%d]", i, m, a.RowPtr[i], a.RowPtr[i+1])
+		}
+		v.nnz += m - a.RowPtr[i]
+	}
+	return v, nil
+}
+
+// Dims returns A's dimensions: the view multiplies the same vectors.
+func (v *LocalView) Dims() (rows, cols int) { return v.A.NumRows, v.A.NumCols }
+
+// Nnz returns the number of entries in the local prefixes.
+func (v *LocalView) Nnz() int64 { return v.nnz }
+
+// NumBlocks returns the row count: like CSR, the view parallelizes by row.
+func (v *LocalView) NumBlocks() int { return v.A.NumRows }
+
+// BlockNnzPrefix returns the prefix sum of the rows' local entry counts. It
+// is computed on every call; Chunks balances on the same counts without it.
+func (v *LocalView) BlockNnzPrefix() []int64 {
+	prefix := make([]int64, len(v.Mid)+1)
+	for i, m := range v.Mid {
+		prefix[i+1] = prefix[i] + m - v.A.RowPtr[i]
+	}
+	return prefix
+}
+
+// Chunks returns BalanceNnz(v.BlockNnzPrefix(), parts) in one sweep over
+// Mid, without building the prefix: every worker of a cluster chunks its
+// local pass, and a row-count-sized scratch array each showed in the time
+// a cluster takes to come up.
+func (v *LocalView) Chunks(parts int) []Range {
+	rowPtr := v.A.RowPtr
+	pos, sum := 0, int64(0) // sum counts the local entries of rows [0, pos)
+	return balance(len(v.Mid), v.nnz, parts, func(lo, maxHi int, target int64) int {
+		for ; pos < lo; pos++ {
+			sum += v.Mid[pos] - rowPtr[pos]
+		}
+		for pos < maxHi && sum < target {
+			sum += v.Mid[pos] - rowPtr[pos]
+			pos++
+		}
+		return pos
+	})
+}
+
+// MulVecBlocks computes y[lo:hi] = (A_local·x)[lo:hi].
+//
+//repro:noalloc
+func (v *LocalView) MulVecBlocks(y, x []float64, lo, hi int) {
+	rowPtr, mid, colIdx, val := v.A.RowPtr, v.Mid, v.A.ColIdx, v.A.Val
+	for i := lo; i < hi; i++ {
+		y[i] = matrix.RowDot(0, val, colIdx, x, rowPtr[i], mid[i])
+	}
+}
+
+// MulVecBlocksAdd computes y[lo:hi] += (A_local·x)[lo:hi].
+//
+//repro:noalloc
+func (v *LocalView) MulVecBlocksAdd(y, x []float64, lo, hi int) {
+	rowPtr, mid, colIdx, val := v.A.RowPtr, v.Mid, v.A.ColIdx, v.A.Val
+	for i := lo; i < hi; i++ {
+		y[i] = matrix.RowDot(y[i], val, colIdx, x, rowPtr[i], mid[i])
+	}
+}
+
 // Split is a matrix divided into a "local" part and a "remote" part with
 // disjoint column footprints, as required by the overlap variants
 // (Fig. 4b/4c): the local part touches only columns < LocalCols; the remote
 // part touches only columns ≥ LocalCols (the received halo entries). The
-// remote part is compacted: only rows with at least one remote nonzero are
-// stored, so the second pass scales with the halo size, not the matrix size.
+// local part is a view of the matrix itself. The remote part is a compacted
+// copy: only rows with at least one remote nonzero are stored, so the second
+// pass scales with the halo size, not the matrix size.
 type Split struct {
-	Local     *matrix.CSR
+	Local     *LocalView
 	Remote    *CompactCSR
 	LocalCols int
 }
 
 // NewSplit partitions the columns of a at the boundary localCols. The local
-// half keeps the full row count; the remote half stores halo-coupled rows
-// only. Row-wise the two passes still write the same result vector (the
-// second with += semantics). Construction favors the two shared builders
-// over a fused single sweep: it scans a once per half per (count, fill)
-// pass, an O(nnz) plan-build cost paid once per rank.
+// half is a view of a, which must list every row's columns < localCols
+// before the others (NewSplit panics naming a row that does not; a matrix
+// in canonical form always does); the remote half copies the halo-coupled
+// rows. Row-wise the two passes still write the same result vector, the
+// second with += semantics. core.BuildPlan fills a Split in while it writes
+// the matrix; this constructor is for a matrix that already exists.
 func NewSplit(a *matrix.CSR, localCols int) *Split {
 	if localCols < 0 || localCols > a.NumCols {
 		panic(fmt.Sprintf("spmv: split boundary %d outside [0,%d]", localCols, a.NumCols))
 	}
+	mid := make([]int64, a.NumRows)
+	var nnz int64
+	for i := range mid {
+		k, end := a.RowPtr[i], a.RowPtr[i+1]
+		for k < end && int(a.ColIdx[k]) < localCols {
+			k++
+		}
+		mid[i] = k
+		nnz += k - a.RowPtr[i]
+		for ; k < end; k++ {
+			if int(a.ColIdx[k]) < localCols {
+				panic(fmt.Sprintf("spmv: row %d lists local column %d after a remote one; the split views rows whose local columns come first", i, a.ColIdx[k]))
+			}
+		}
+	}
 	return &Split{
-		Local:     a.RestrictCols(0, localCols),
+		Local:     &LocalView{A: a, Mid: mid, nnz: nnz},
 		Remote:    NewCompactRemote(a, localCols),
 		LocalCols: localCols,
 	}
 }
 
-// AsFormatSplit returns the format-generic view of the split, with the CSR
-// local half as its matrix.Format. The halves are shared, not copied.
+// AsFormatSplit returns the format-generic form of the split, with the
+// view as its matrix.Format. The halves are shared, not copied.
 func (s *Split) AsFormatSplit() *FormatSplit {
 	return &FormatSplit{Local: s.Local, Remote: s.Remote, LocalCols: s.LocalCols}
 }
@@ -263,6 +373,9 @@ func NewFormatSplit(a *matrix.CSR, localCols int, b matrix.FormatBuilder) (*Form
 // LocalChunks chunks the local pass by the local format's blocks, balanced
 // on its stored (incl. padded) entries.
 func (s *FormatSplit) LocalChunks(parts int) []Range {
+	if v, ok := s.Local.(*LocalView); ok {
+		return v.Chunks(parts)
+	}
 	return BalanceNnz(s.Local.BlockNnzPrefix(), parts)
 }
 

@@ -1,8 +1,11 @@
 package spmv
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -215,16 +218,18 @@ func TestSplitKernelsMatchSerial(t *testing.T) {
 	a := randomMatrix(11, 400, 400)
 	boundary := 250
 	s := NewSplit(a, boundary)
-	if err := s.Local.Validate(); err != nil {
+	if _, err := NewLocalView(a, s.Local.Mid); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Remote.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Column footprints are disjoint at the boundary.
-	for _, c := range s.Local.ColIdx {
-		if int(c) >= boundary {
-			t.Fatalf("local part holds column %d ≥ %d", c, boundary)
+	for i, m := range s.Local.Mid {
+		for _, c := range a.ColIdx[a.RowPtr[i]:m] {
+			if int(c) >= boundary {
+				t.Fatalf("local part holds column %d ≥ %d", c, boundary)
+			}
 		}
 	}
 	for _, c := range s.Remote.ColIdx {
@@ -344,17 +349,79 @@ func TestCompactRemoteEquivalentToFullRows(t *testing.T) {
 	}
 }
 
-func TestNewCompactRemoteMatchesSplit(t *testing.T) {
+// The view and the compacted remote are exactly the two column-restricted
+// copies of the matrix, at every boundary.
+func TestSplitHalvesMatchRestrictCols(t *testing.T) {
 	a := randomMatrix(25, 250, 250)
 	for _, boundary := range []int{0, 1, 97, 180, 250} {
-		want := NewSplit(a, boundary).Remote
-		got := NewCompactRemote(a, boundary)
-		if err := got.Validate(); err != nil {
+		s := NewSplit(a, boundary)
+		if err := s.Remote.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if !got.Expand().Equal(want.Expand()) {
-			t.Fatalf("boundary %d: standalone compact remote differs from NewSplit's", boundary)
+		if !s.Remote.Expand().Equal(a.RestrictCols(boundary, a.NumCols)) {
+			t.Fatalf("boundary %d: compact remote differs from RestrictCols(%d, %d)", boundary, boundary, a.NumCols)
 		}
+		if !viewCopy(s.Local).Equal(a.RestrictCols(0, boundary)) {
+			t.Fatalf("boundary %d: local view differs from RestrictCols(0, %d)", boundary, boundary)
+		}
+	}
+}
+
+// viewCopy returns the entries a LocalView covers as a matrix of their own.
+func viewCopy(v *LocalView) *matrix.CSR {
+	c := &matrix.CSR{NumRows: v.A.NumRows, NumCols: v.A.NumCols, RowPtr: make([]int64, v.A.NumRows+1)}
+	for i, m := range v.Mid {
+		c.ColIdx = append(c.ColIdx, v.A.ColIdx[v.A.RowPtr[i]:m]...)
+		c.Val = append(c.Val, v.A.Val[v.A.RowPtr[i]:m]...)
+		c.RowPtr[i+1] = int64(len(c.ColIdx))
+	}
+	return c
+}
+
+// A row that lists a local column after a remote one has no local prefix to
+// view: NewSplit names the row instead of silently dropping the entry.
+func TestNewSplitRejectsInterleavedRow(t *testing.T) {
+	a := &matrix.CSR{NumRows: 2, NumCols: 4,
+		RowPtr: []int64{0, 2, 5}, ColIdx: []int32{0, 3, 1, 2, 0}, Val: []float64{1, 2, 3, 4, 5}}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "row 1") {
+			t.Errorf("NewSplit on an interleaved row: recovered %q, want a panic naming row 1", msg)
+		}
+	}()
+	NewSplit(a, 2)
+}
+
+// LocalView.Chunks is BalanceNnz over the view's prefix, without the prefix.
+func TestLocalViewChunksMatchBalanceNnz(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		a := randomMatrix(seed, n, n)
+		v := NewSplit(a, rng.Intn(n+1)).Local
+		for parts := 1; parts <= 9; parts++ {
+			got, want := v.Chunks(parts), BalanceNnz(v.BlockNnzPrefix(), parts)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %d rows, %d parts: Chunks = %v, BalanceNnz = %v", seed, n, parts, got, want)
+			}
+		}
+	}
+}
+
+func TestNewLocalViewRejectsBadMid(t *testing.T) {
+	a := randomMatrix(3, 10, 10)
+	good := NewSplit(a, 5).Local.Mid
+	if _, err := NewLocalView(a, good[:9]); err == nil {
+		t.Error("short mid accepted")
+	}
+	bad := slices.Clone(good)
+	bad[4] = a.RowPtr[5] + 1
+	if _, err := NewLocalView(a, bad); err == nil {
+		t.Error("mid past the end of its row accepted")
+	}
+	bad[4] = a.RowPtr[4] - 1
+	if _, err := NewLocalView(a, bad); err == nil {
+		t.Error("mid before the start of its row accepted")
 	}
 }
 
@@ -370,7 +437,7 @@ func TestFormatSplitCSRBuilderMatchesSplit(t *testing.T) {
 	if !ok {
 		t.Fatalf("CSRBuilder local half is %T, want *matrix.CSR", fs.Local)
 	}
-	if !local.Equal(ref.Local) {
+	if !local.Equal(viewCopy(ref.Local)) {
 		t.Fatal("format split local half differs from NewSplit's")
 	}
 	// Two-pass product through the format split matches the serial kernel

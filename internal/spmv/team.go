@@ -258,14 +258,27 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 // Every returned range is non-empty when n ≥ parts; when n < parts the
 // trailing ranges are empty.
 func BalanceNnz(prefix []int64, parts int) []Range {
-	if parts < 1 {
-		panic(fmt.Sprintf("spmv: parts %d < 1", parts))
-	}
 	n := len(prefix) - 1
 	if n < 0 {
 		panic("spmv: empty prefix array")
 	}
-	total := prefix[n]
+	return balance(n, prefix[n], parts, func(lo, maxHi int, target int64) int {
+		hi := lo
+		for hi < maxHi && prefix[hi] < target {
+			hi++
+		}
+		return hi
+	})
+}
+
+// balance is BalanceNnz over a prefix sum that is never stored: n rows of
+// total weight, and advance(lo, maxHi, target) returning the first hi in
+// [lo, maxHi] whose prefix reaches target, or maxHi. Successive calls pass
+// non-decreasing lo, so advance may keep a running sum.
+func balance(n int, total int64, parts int, advance func(lo, maxHi int, target int64) int) []Range {
+	if parts < 1 {
+		panic(fmt.Sprintf("spmv: parts %d < 1", parts))
+	}
 	out := make([]Range, parts)
 	lo := 0
 	for p := 0; p < parts; p++ {
@@ -286,10 +299,7 @@ func BalanceNnz(prefix []int64, parts int) []Range {
 		if maxHi < lo {
 			maxHi = lo
 		}
-		hi := lo
-		for hi < maxHi && prefix[hi] < target {
-			hi++
-		}
+		hi := advance(lo, maxHi, target)
 		if hi == lo && lo < maxHi {
 			hi = lo + 1 // never emit an empty range while rows remain
 		}
