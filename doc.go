@@ -57,8 +57,9 @@
 // ChanTransport (the in-process chanmpi runtime) owns every rank and
 // keeps today's single-process behavior bit-identically; internal/tcpmpi
 // is the real multi-process TCP backend — rendezvous by address, rank
-// ranges per process, length-prefixed binary frames, tree collectives
-// with canonical rank-order combining (see internal/tcpmpi/README.md).
+// ranges per process, length-prefixed binary frames, dissemination
+// collectives (⌈log₂P⌉ one-way rounds) with canonical rank-order combining
+// on every rank (see internal/tcpmpi/README.md).
 // Reductions combine in canonical rank order on every transport, so
 // distributed solves are bit-reproducible across runs AND across
 // transports: cmd/spmv-worker joins a world by address + rank range, and
@@ -116,13 +117,15 @@
 // or request allocation). Workers compile their whole halo schedule into
 // persistent channels at construction, and compile each kernel pass into a
 // restartable spmv.Team region (spmv.Team.Compile/Exec), so a step is pure
-// restart loops. Task mode launches the compiled local-pass region
-// asynchronously (Team.Start) and Joins after the halo wait — the rank
+// restart loops. In the vector modes the rank goroutine is thread 0 of its
+// team (Team.Exec runs chunk 0 on the caller; with one thread per rank a
+// step hands nothing to another goroutine). Task mode launches its compiled
+// regions on the pool (Team.Start) and Joins after the halo wait — the rank
 // goroutine is the resident communication thread; no goroutine is spawned
 // per step. On the wire transport, tcpmpi's reader goroutine decodes
 // arriving frames DIRECTLY into a posted receive's user buffer (no
 // intermediate slice; unposted arrivals go through recycled carriers), and
-// the tree collectives run on resident per-communicator scratch.
+// the collectives run on resident per-communicator scratch.
 //
 // Two contract changes pay for this: Allreduce/AllgatherInt64 results are
 // resident buffers, read-only and valid only until the rank's NEXT
@@ -146,7 +149,7 @@
 // idle links carry kindPing frames, and silence past the timeout fails
 // the world within a bounded interval); a live process whose rank never
 // enters a collective is caught by the per-edge collective deadline
-// (CollectiveTimeout), which names the tree edge that never delivered.
+// (CollectiveTimeout), which names the round edge that never delivered.
 // internal/faultmpi is the matching test instrument: a transport
 // decorator that injects deterministic, seeded faults (kill rank r at
 // its k-th operation, drop/delay/duplicate matched frames, fail dials)

@@ -285,6 +285,23 @@ func TestClusterRunPanicBecomesError(t *testing.T) {
 	}
 }
 
+// A kernel that panics on a compute thread — here every thread indexes past
+// an X cut short — surfaces as the rank's job error in every mode, like a
+// panic in the body itself, instead of taking the process down from a pool
+// goroutine.
+func TestKernelPanicOnComputeThreadBecomesJobError(t *testing.T) {
+	for _, mode := range Modes {
+		_, cl := newTestCluster(t, 83, 60, 20, 3, 3, WithThreads(3))
+		err := cl.Run(func(w *Worker) error {
+			w.X = w.X[:1]
+			return w.Step(mode)
+		})
+		if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%v: job error %v, want the kernel's index panic", mode, err)
+		}
+	}
+}
+
 func TestNewClusterErrors(t *testing.T) {
 	a := randomSquare(85, 80, 30, 3)
 	plan, err := BuildPlan(a, PartitionByNnz(a, 2), true)

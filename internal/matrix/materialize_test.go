@@ -222,3 +222,30 @@ func TestAllocGateMaterialize(t *testing.T) {
 		}
 	}
 }
+
+// RowNnzCounts answers from RowPtr on a *CSR and by streaming the rows on
+// anything else; shuffled hides the CSR behind the streaming path. Both
+// agree on Poisson Small and on a matrix with empty rows.
+func TestRowNnzCountsCSRMatchesStreaming(t *testing.T) {
+	poisson, err := genmat.NewPoisson(genmat.SmallPoissonConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*matrix.CSR{
+		"poisson-small": matrix.Materialize(poisson),
+		"empty-rows":    wideRows(260),
+		"no-rows":       {NumCols: 3, RowPtr: []int64{0}},
+	} {
+		fast, streamed := matrix.RowNnzCounts(a), matrix.RowNnzCounts(shuffled{a})
+		if !slices.Equal(fast, streamed) {
+			t.Errorf("%s: RowPtr differences and the streamed counts disagree", name)
+		}
+		var total int64
+		for _, c := range fast {
+			total += c
+		}
+		if total != a.Nnz() {
+			t.Errorf("%s: counts add up to %d, matrix holds %d", name, total, a.Nnz())
+		}
+	}
+}

@@ -99,11 +99,18 @@ func forRowRanges(rows int, fn func(lo, hi int)) {
 	}
 }
 
-// RowNnzCounts streams the pattern once and returns the number of stored
-// entries in each row.
+// RowNnzCounts returns the number of stored entries in each row: RowPtr
+// differences for a *CSR, which already holds the answer, one streaming
+// pass over the pattern for anything else.
 func RowNnzCounts(src PatternSource) []int64 {
 	rows, _ := src.Dims()
 	counts := make([]int64, rows)
+	if a, ok := src.(*CSR); ok {
+		for i := range counts {
+			counts[i] = a.RowPtr[i+1] - a.RowPtr[i]
+		}
+		return counts
+	}
 	var buf []int32
 	for i := 0; i < rows; i++ {
 		buf = src.AppendRow(i, buf[:0])

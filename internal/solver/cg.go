@@ -52,9 +52,7 @@ func CG(op Operator, b, x []float64, tol float64, maxIter int) (CGResult, error)
 			return res, fmt.Errorf("solver: CG broke down (pᵀAp = %g ≤ 0); operator not SPD?", pap)
 		}
 		alpha := rr / pap
-		Axpy(alpha, p, x)
-		Axpy(-alpha, ap, r)
-		rrNew := Dot(r, r)
+		rrNew := cgUpdate(alpha, p, ap, x, r)
 		res.Iterations = k + 1
 		rel := sqrtNonneg(rrNew) / bNorm
 		res.History = append(res.History, rel)

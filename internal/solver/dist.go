@@ -164,19 +164,14 @@ func DistCGOpt(cl *core.Cluster, b, x []float64, opt CGOptions) (CGResult, error
 		}
 		bNorm := math.Sqrt(bNorm2)
 
-		apply := func(dst, src []float64) error {
-			copy(w.X[:nl], src)
-			if err := w.Step(mode); err != nil {
-				return err
-			}
-			copy(dst, w.Y)
-			res.MVMs++
-			return nil
-		}
-
+		// The iteration runs where the kernel's data already is: the search
+		// direction p IS the owned part of the worker's X, and A·p is read
+		// out of the worker's Y, so a multiplication is w.Step and nothing
+		// else — no vector is copied in or out of the worker per iteration.
+		// (Cluster.Mul overwrites X before it steps, so what a solve leaves
+		// there is nobody's input.)
+		p, ap := w.X[:nl], w.Y
 		r := make([]float64, nl)
-		p := make([]float64, nl)
-		ap := make([]float64, nl)
 		var rr float64
 		startIter := 0
 		if rst := opt.Restore; rst != nil {
@@ -197,9 +192,11 @@ func DistCGOpt(cl *core.Cluster, b, x []float64, opt CGOptions) (CGResult, error
 				res.Residual = res.History[len(res.History)-1]
 			}
 		} else {
-			if err := apply(ap, xl); err != nil {
+			copy(p, xl)
+			if err := w.Step(mode); err != nil {
 				return err
 			}
+			res.MVMs++
 			for i := range r {
 				r[i] = bl[i] - ap[i]
 			}
@@ -210,9 +207,10 @@ func DistCGOpt(cl *core.Cluster, b, x []float64, opt CGOptions) (CGResult, error
 		}
 
 		for k := startIter; k < maxIter; k++ {
-			if err := apply(ap, p); err != nil {
+			if err := w.Step(mode); err != nil {
 				return err
 			}
+			res.MVMs++
 			pap, err := distDot(c, p, ap)
 			if err != nil {
 				return err
@@ -228,9 +226,7 @@ func DistCGOpt(cl *core.Cluster, b, x []float64, opt CGOptions) (CGResult, error
 				return nil
 			}
 			alpha := rr / pap
-			Axpy(alpha, p, xl)
-			Axpy(-alpha, ap, r)
-			rrNew, err := distDot(c, r, r)
+			rrNew, err := c.AllreduceScalar(core.OpSum, cgUpdate(alpha, p, ap, xl, r))
 			if err != nil {
 				return err
 			}

@@ -76,13 +76,73 @@ func (o *DistOperator) Apply(y, x []float64) {
 	}
 }
 
-// Dot returns xᵀy.
+// Dot returns xᵀy. It keeps four partial sums — element i goes into sum
+// i mod 4 — and combines them as (s0+s1)+(s2+s3): one chain of dependent
+// additions runs at the adder's latency, four run at its throughput.
+// Every dot product in this package goes through here (or through
+// cgUpdate, which accumulates in the same order), so solves stay
+// bit-identical across transports, modes and restarts.
 func Dot(x, y []float64) float64 {
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
 	}
-	return s
+	for ; i < len(x); i++ { // at most three, into sums 0, 1, 2
+		switch v := x[i] * y[i]; i & 3 {
+		case 0:
+			s0 += v
+		case 1:
+			s1 += v
+		default:
+			s2 += v
+		}
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// cgUpdate is the vector update of one CG iteration in a single sweep:
+// x += a·p, r −= a·ap, and the return value is rᵀr of the updated r —
+// bit for bit what Axpy(a, p, x), Axpy(-a, ap, r), Dot(r, r) produce, with
+// each vector read once instead of r three times.
+func cgUpdate(a float64, p, ap, x, r []float64) float64 {
+	n := len(r)
+	p, ap, x = p[:n], ap[:n], x[:n]
+	na := -a
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		x[i] += a * p[i]
+		x[i+1] += a * p[i+1]
+		x[i+2] += a * p[i+2]
+		x[i+3] += a * p[i+3]
+		r0 := r[i] + na*ap[i]
+		r1 := r[i+1] + na*ap[i+1]
+		r2 := r[i+2] + na*ap[i+2]
+		r3 := r[i+3] + na*ap[i+3]
+		r[i], r[i+1], r[i+2], r[i+3] = r0, r1, r2, r3
+		s0 += r0 * r0
+		s1 += r1 * r1
+		s2 += r2 * r2
+		s3 += r3 * r3
+	}
+	for ; i < n; i++ {
+		x[i] += a * p[i]
+		r[i] += na * ap[i]
+		switch v := r[i] * r[i]; i & 3 {
+		case 0:
+			s0 += v
+		case 1:
+			s1 += v
+		default:
+			s2 += v
+		}
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // Norm2 returns ‖x‖₂.

@@ -22,10 +22,10 @@ import (
 //	offset 13  int32   tag
 //	offset 17  payload — count IEEE-754 float64 values, little-endian
 //
-// Frames of user point-to-point traffic and of the internal tree
-// collectives share the connection but live in separate matching
-// namespaces via kind, so a collective can never steal a user message
-// with a colliding tag (or vice versa). kindBye is the graceful-shutdown
+// Frames of user point-to-point traffic and of the internal collectives
+// share the connection but live in separate matching namespaces via kind,
+// so a collective can never steal a user message with a colliding tag (or
+// vice versa). kindBye is the graceful-shutdown
 // announcement: the last frame a closing process writes on each
 // connection, telling the peer its ranks have departed (src/dst/tag and
 // payload empty). kindPing is the heartbeat: an empty frame written on a

@@ -21,10 +21,11 @@ import (
 //     the peer echoes a kindPong, and the reader folds the round-trip into
 //     the connection's EWMA — a per-process link health signal that needs
 //     no application traffic at all;
-//   - collective-edge latency: each static tree edge's receive wait
-//     (recvExact) is folded into the edge's own EWMA — a per-RANK signal
-//     that catches a rank whose process is healthy but whose contribution
-//     is consistently late.
+//   - collective-edge latency: each round edge's receive wait (round k of
+//     a collective always receives from rank+2ᵏ; see exchange) is folded
+//     into the edge's own EWMA — a per-RANK signal that catches a rank
+//     whose process is healthy but whose contribution is consistently
+//     late.
 //
 // A sample is suspect when it exceeds SlowFactor × the link's prior EWMA,
 // is at least SlowFloor (so microsecond noise can't trip it), and the EWMA

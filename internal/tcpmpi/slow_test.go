@@ -6,10 +6,7 @@ package tcpmpi
 // producing round-trip samples on a real loopback world.
 
 import (
-	"context"
 	"errors"
-	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,43 +110,13 @@ func TestSlowSuspicionFailOnSlow(t *testing.T) {
 // and the link accumulates round-trip EWMA samples — the signal the RTT
 // half of slow-peer suspicion feeds on.
 func TestPingPongRoundTripSamples(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	mk := func(coord bool, lo, hi int) *Transport {
-		return &Transport{
-			Addr: addr, Coordinate: coord, RankLo: lo, RankHi: hi,
-			HeartbeatInterval: 5 * time.Millisecond,
-			HeartbeatTimeout:  2 * time.Second,
-		}
-	}
-	var wg sync.WaitGroup
-	worlds := make([]core.World, 2)
-	errs := make([]error, 2)
-	trs := []*Transport{mk(true, 0, 1), mk(false, 1, 2)}
-	for i, tr := range trs {
-		wg.Add(1)
-		go func(i int, tr *Transport) {
-			defer wg.Done()
-			worlds[i], errs[i] = tr.Dial(ctx, 2)
-		}(i, tr)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("endpoint %d: %v", i, err)
-		}
-	}
-	defer worlds[0].Close()
-	defer worlds[1].Close()
+	worlds := dialPair(t, func(tr *Transport) {
+		tr.HeartbeatInterval = 5 * time.Millisecond
+		tr.HeartbeatTimeout = 2 * time.Second
+	})
 
 	// Idle: only heartbeat traffic. Wait for round-trip samples to land.
-	w0 := worlds[0].(*world)
+	w0 := worlds[0]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var samples int64

@@ -3,9 +3,10 @@
 // range, rendezvous at a coordinator address and assemble one
 // message-passing world over length-prefixed binary frames. Point-to-point
 // traffic is tag-matched per (source, tag) in posting order — the same
-// discipline as the in-process chanmpi runtime — and the collectives run
-// on a binary tree with canonical rank-order combining, so distributed
-// solves are bit-identical to their in-process counterparts.
+// discipline as the in-process chanmpi runtime — and the collectives are a
+// dissemination allgather in ⌈log₂P⌉ rounds followed by canonical
+// rank-order combining on every rank, so distributed solves are
+// bit-identical to their in-process counterparts.
 //
 // Bring-up: the coordinator process listens on Addr; every worker process
 // dials it and announces its rank range, the coordinator validates that
@@ -66,8 +67,9 @@ type Transport struct {
 	// suspect (default 4 × HeartbeatInterval). It must comfortably exceed
 	// the interval, or healthy peers' ping cadence will trip it.
 	HeartbeatTimeout time.Duration
-	// CollectiveTimeout, when positive, bounds each tree-edge receive
-	// inside the collectives: a rank whose contribution does not arrive
+	// CollectiveTimeout, when positive, bounds each round's receive inside
+	// the collectives (round k receives from rank+2ᵏ — the round edge): a
+	// rank whose contribution does not arrive
 	// within the deadline is named hung in a *core.PeerError and the
 	// world fails, instead of the collective blocking forever. It is the
 	// complement of the heartbeat: heartbeats catch dead or frozen
@@ -78,7 +80,7 @@ type Transport struct {
 	// SlowFactor, when positive, enables slow-peer suspicion — the
 	// gray-failure detector for peers that are alive but degraded (see
 	// slow.go). Every link keeps an EWMA of its ping round-trips and of
-	// each collective tree edge's receive wait; a sample exceeding
+	// each collective round edge's receive wait; a sample exceeding
 	// SlowFactor × the link's prior EWMA (and at least SlowFloor, after
 	// SlowMinSamples of warm-up) declares the peer suspect with a
 	// *core.PeerError in phase "slow" — distinct from every dead-peer

@@ -19,7 +19,7 @@ import (
 )
 
 // freeAddr reserves an ephemeral loopback port for a rendezvous.
-func freeAddr(t *testing.T) string {
+func freeAddr(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -35,7 +35,7 @@ func freeAddr(t *testing.T) string {
 // handshake and frame path exercised, but no OS process boundary (see
 // proc_test.go for that). splits lists each endpoint's [lo,hi) range;
 // the first endpoint coordinates.
-func dialSplit(t *testing.T, size int, splits [][2]int) []core.World {
+func dialSplit(t testing.TB, size int, splits [][2]int) []core.World {
 	t.Helper()
 	addr := freeAddr(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -67,7 +67,7 @@ func dialSplit(t *testing.T, size int, splits [][2]int) []core.World {
 
 // comms returns one communicator per rank, pulled from whichever world
 // owns it.
-func comms(t *testing.T, worlds []core.World, size int) []core.Comm {
+func comms(t testing.TB, worlds []core.World, size int) []core.Comm {
 	t.Helper()
 	cs := make([]core.Comm, size)
 	for _, w := range worlds {

@@ -57,14 +57,8 @@ type world struct {
 	conns    []*peerConn
 	departed []atomic.Bool // by process index: announced a graceful Close (BYE)
 
-	// dfsOrder and subSize describe the binary collective tree: dfsOrder
-	// is the depth-first enumeration of ranks from root 0 (the layout of
-	// gathered payloads), subSize[r] the size of r's subtree.
-	dfsOrder []int
-	subSize  []int
-
 	// hbInterval/hbTimeout configure the heartbeat monitor (zero interval:
-	// disabled); collTimeout bounds each collective-edge receive (zero:
+	// disabled); collTimeout bounds each collective round's receive (zero:
 	// unbounded). All are fixed at bring-up by the Transport.
 	hbInterval  time.Duration
 	hbTimeout   time.Duration
@@ -115,27 +109,6 @@ func newWorld(size, lo, hi int, procs []procInfo, me int) (*world, error) {
 	for i := range w.boxes {
 		w.boxes[i] = &mailbox{}
 	}
-	w.subSize = make([]int, size)
-	for r := size - 1; r >= 0; r-- {
-		w.subSize[r] = 1
-		if l := 2*r + 1; l < size {
-			w.subSize[r] += w.subSize[l]
-		}
-		if rr := 2*r + 2; rr < size {
-			w.subSize[r] += w.subSize[rr]
-		}
-	}
-	w.dfsOrder = make([]int, 0, size)
-	var dfs func(r int)
-	dfs = func(r int) {
-		if r >= size {
-			return
-		}
-		w.dfsOrder = append(w.dfsOrder, r)
-		dfs(2*r + 1)
-		dfs(2*r + 2)
-	}
-	dfs(0)
 	return w, nil
 }
 
@@ -748,12 +721,12 @@ type precv struct {
 	rank int
 	req  *request
 	// lat is the edge's receive-wait EWMA when the channel backs a
-	// collective tree edge under slow-peer suspicion (see slow.go).
+	// collective round under slow-peer suspicion (see slow.go).
 	lat latEwma
 }
 
 // newPrecv builds the resident request of a persistent receive; the
-// collectives use coll=true channels on the static tree edges.
+// collectives use one coll=true channel per round.
 func (c *comm) newPrecv(src, tag int, coll bool) *precv {
 	return &precv{
 		w:    c.w,
@@ -786,8 +759,8 @@ func (p *precv) Start() error { return p.startInto(p.req.buf) }
 // startInto restarts the resident request delivering into buf — the
 // rebind happens under the mailbox lock, inside the not-in-flight guard,
 // so it can never race a delivery. The collectives use it to reuse one
-// persistent channel per static tree edge across rounds of varying
-// payload length.
+// persistent channel per round across collectives of varying payload
+// length.
 func (p *precv) startInto(buf []float64) error {
 	r := p.req
 	box := p.w.boxes[p.rank-p.w.lo]
