@@ -18,7 +18,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/perfmodel"
 	"repro/internal/rcm"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 	"repro/internal/solver"
 	"repro/internal/spmv"
 	"repro/internal/stream"
@@ -331,8 +331,8 @@ func BenchmarkAblationTorusFragmentation(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(occupancy float64) float64 {
-		res, err := simexec.Run(simexec.Config{
-			Cluster: machine.CrayXE6(), Nodes: 16, Layout: simexec.ProcPerNode,
+		res, err := simnet.RunPoint(simnet.PointConfig{
+			Cluster: machine.CrayXE6(), Nodes: 16, Layout: simnet.ProcPerNode,
 			Mode: core.VectorNoOverlap, Iters: 8, TorusOccupancy: occupancy,
 		}, wl)
 		if err != nil {
@@ -600,7 +600,7 @@ func scalingBench(b *testing.B, name string, kappa float64, src matrix.PatternSo
 	// figure's headline.
 	var task, noov float64
 	for _, p := range points {
-		if p.Nodes == 16 && p.Layout == simexec.ProcPerLD {
+		if p.Nodes == 16 && p.Layout == simnet.ProcPerLD {
 			switch p.Mode {
 			case core.TaskMode:
 				task = p.GFlops
@@ -675,8 +675,8 @@ func BenchmarkAblationAsyncProgress(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(async bool) float64 {
-		res, err := simexec.Run(simexec.Config{
-			Cluster: cluster, Nodes: 8, Layout: simexec.ProcPerLD,
+		res, err := simnet.RunPoint(simnet.PointConfig{
+			Cluster: cluster, Nodes: 8, Layout: simnet.ProcPerLD,
 			Mode: core.VectorNaiveOverlap, Iters: 8, AsyncProgress: async,
 		}, wl)
 		if err != nil {

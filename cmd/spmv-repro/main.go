@@ -20,7 +20,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/genmat"
 	"repro/internal/machine"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 )
 
 func main() {
@@ -119,22 +119,8 @@ func main() {
 	}
 	check(tbl.Render(w))
 
-	section("Fig. 4 — measured kernel timelines (2 nodes, per-LD)")
-	clusterRdv := machine.WestmereCluster()
-	clusterRdv.Net.EagerThreshold = 0
-	for _, mode := range core.Modes {
-		tr := &simexec.Trace{}
-		cfg := simexec.Config{
-			Cluster: clusterRdv, Nodes: 2, Layout: simexec.ProcPerLD,
-			Mode: mode, Warmup: 2, Iters: 1, Trace: tr,
-		}
-		wl, err := wcH.For(cfg.RanksFor())
-		check(err)
-		res, err := simexec.Run(cfg, wl)
-		check(err)
-		fmt.Fprintf(w, "\n%s (%.2f GFlop/s):\n", mode, res.GFlops)
-		check(simexec.RenderGantt(w, tr.LastIteration(), 84))
-	}
+	section("Fig. 4 — simulated kernel timelines (2 nodes, per-LD)")
+	check(expt.Fig4(w, wcH, 2, 84))
 
 	section("§3.1 footnote 2 — load balancing")
 	sources, err := expt.Sources(sc)
@@ -150,7 +136,7 @@ func main() {
 
 	section("torus placement variance (XE6, 16 nodes, occupancy 25%)")
 	vals, err := expt.PlacementStudy(machine.CrayXE6(), wcH, 16,
-		simexec.ProcPerLD, core.VectorNoOverlap, 0.25, 5, *iters)
+		simnet.ProcPerLD, core.VectorNoOverlap, 0.25, 5, *iters)
 	check(err)
 	min, max := vals[0], vals[0]
 	for _, v := range vals {

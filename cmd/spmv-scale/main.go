@@ -17,7 +17,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/genmat"
 	"repro/internal/machine"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 )
 
 func main() {
@@ -157,7 +157,7 @@ func main() {
 		fmt.Printf("\ntorus placement variance: %d scattered placements, %d nodes, occupancy %.0f%% (XE6, per-LD, no overlap):\n",
 			*placements, n, 100**occupancy)
 		vals, err := expt.PlacementStudy(machine.CrayXE6(), wc, n,
-			simexec.ProcPerLD, core.VectorNoOverlap, *occupancy, *placements, *iters)
+			simnet.ProcPerLD, core.VectorNoOverlap, *occupancy, *placements, *iters)
 		if err != nil {
 			fatal(err)
 		}

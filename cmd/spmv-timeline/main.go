@@ -1,4 +1,4 @@
-// Command spmv-timeline renders the measured counterpart of the paper's
+// Command spmv-timeline renders the simulated counterpart of the paper's
 // Fig. 4: per-rank timelines of one distributed SpMV iteration in each
 // kernel organization, as simulated on the Westmere cluster. The task-mode
 // panel shows the communication-thread bar (E) overlapping the local
@@ -11,11 +11,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/genmat"
-	"repro/internal/machine"
-	"repro/internal/simexec"
 )
 
 func main() {
@@ -33,29 +30,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cluster := machine.WestmereCluster()
-	cluster.Net.EagerThreshold = 0 // force the rendezvous regime of Fig. 4
 	wc := expt.NewWorkloadCache("HMeP", h, expt.PaperKappa("HMeP"))
-
-	for _, mode := range core.Modes {
-		tr := &simexec.Trace{}
-		cfg := simexec.Config{
-			Cluster: cluster, Nodes: *nodes, Layout: simexec.ProcPerLD,
-			Mode: mode, Warmup: 2, Iters: 1, Trace: tr,
-		}
-		wl, err := wc.For(cfg.RanksFor())
-		if err != nil {
-			fatal(err)
-		}
-		res, err := simexec.Run(cfg, wl)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n=== %s (%.2f GFlop/s, %d ranks) — cf. paper Fig. 4 ===\n",
-			mode, res.GFlops, res.Ranks)
-		if err := simexec.RenderGantt(os.Stdout, tr.LastIteration(), *width); err != nil {
-			fatal(err)
-		}
+	if err := expt.Fig4(os.Stdout, wc, *nodes, *width); err != nil {
+		fatal(err)
 	}
 }
 

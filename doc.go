@@ -6,8 +6,8 @@
 // (internal/core) run for real on an in-process message-passing runtime
 // (internal/chanmpi) and are re-enacted, with the paper's MPI progress
 // semantics and calibrated ccNUMA/network models, on a discrete-event
-// cluster simulator (internal/des, fluid, machine, netmodel, simmpi,
-// simexec) that regenerates every figure of the evaluation. See
+// cluster simulator (internal/des, fluid, machine, netmodel, simnet) that
+// regenerates every figure of the evaluation. See
 // benchmark/README.md for how the repository is measured and the
 // README.md under internal/formats, internal/simnet and internal/tcpmpi.
 //

@@ -16,7 +16,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/genmat"
 	"repro/internal/machine"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 )
 
 func main() {
@@ -64,16 +64,16 @@ func main() {
 
 	wc := expt.NewWorkloadCache("custom", gen, 1.5)
 	tbl := expt.NewTable("layout", "mode", "ranks", "GFlop/s", "time/MVM [µs]")
-	for _, layout := range simexec.Layouts {
+	for _, layout := range simnet.Layouts {
 		for _, mode := range core.Modes {
-			cfg := simexec.Config{
+			cfg := simnet.PointConfig{
 				Cluster: cluster, Nodes: *nodes, Layout: layout, Mode: mode, Iters: 10,
 			}
 			wl, err := wc.For(cfg.RanksFor())
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := simexec.Run(cfg, wl)
+			res, err := simnet.RunPoint(cfg, wl)
 			if err != nil {
 				log.Fatal(err)
 			}

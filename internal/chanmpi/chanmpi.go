@@ -9,7 +9,7 @@
 // It is the functional substitute for MPI in this reproduction: the
 // distributed kernels in internal/core run unchanged on top of it and are
 // verified numerically. Timing semantics (the paper's "no asynchronous
-// progress" observation) are modeled separately by internal/simmpi on the
+// progress" observation) are modeled separately by internal/simnet on the
 // discrete-event simulator; chanmpi is always asynchronous, as a perfect
 // progress engine would be.
 //

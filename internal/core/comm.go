@@ -47,9 +47,9 @@ type (
 
 // Comm is one rank's communicator: the complete message-passing surface the
 // kernel modes and the SPMD solvers consume. It decouples internal/core from
-// the concrete runtime — *chanmpi.Comm satisfies it as-is, and a wire-level
-// backend (internal/tcpmpi, a simmpi re-enactment) plugs in behind a
-// Transport without touching the modes.
+// the concrete runtime — *chanmpi.Comm satisfies it as-is, and the other
+// backends (internal/tcpmpi over sockets, internal/simnet in virtual time)
+// plug in behind a Transport without touching the modes.
 //
 // The contract is error-first: misuse and transport failures return errors
 // instead of panicking, so a network backend can report a lost peer the

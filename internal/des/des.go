@@ -13,7 +13,7 @@
 // compute and communication are fluid flows whose completions are events.
 //
 // Two consumption styles are supported. Run drains the event heap to
-// completion and is the classic closed-world driver (simmpi, simexec).
+// completion and is the closed-world driver (simnet's Session).
 // Step pops and executes exactly one event and exists for open-world
 // drivers — simnet's transport, where foreign goroutines (cluster ranks)
 // block on simulated operations and take turns advancing the clock.

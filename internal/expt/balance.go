@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 )
 
 // BalanceRow is one row of the load-balancing study (§5 lists "a more
@@ -25,14 +25,14 @@ type BalanceRow struct {
 
 // rowPartitionWorkload builds a simulator workload under naive equal-rows
 // partitioning (the baseline the paper's footnote 2 rejects).
-func rowPartitionWorkload(name string, src matrix.PatternSource, kappa float64, ranks int) (*simexec.Workload, error) {
+func rowPartitionWorkload(name string, src matrix.PatternSource, kappa float64, ranks int) (*simnet.Workload, error) {
 	rows, _ := src.Dims()
 	part := core.PartitionByRows(rows, ranks)
 	plan, err := core.BuildPlan(src, part, false)
 	if err != nil {
 		return nil, err
 	}
-	return simexec.WorkloadFromPlan(plan, name, kappa), nil
+	return simnet.WorkloadFromPlan(plan, name, kappa), nil
 }
 
 // LoadBalanceStudy compares nonzero-balanced against row-balanced
@@ -43,9 +43,9 @@ func LoadBalanceStudy(cluster machine.ClusterSpec, name string,
 	rows, _ := src.Dims()
 	var out []BalanceRow
 	for _, nodes := range nodeCounts {
-		cfg := simexec.Config{
+		cfg := simnet.PointConfig{
 			Cluster: cluster, Nodes: nodes,
-			Layout: simexec.ProcPerLD, Mode: core.VectorNoOverlap, Iters: iters,
+			Layout: simnet.ProcPerLD, Mode: core.VectorNoOverlap, Iters: iters,
 		}
 		ranks := cfg.RanksFor()
 
@@ -53,7 +53,7 @@ func LoadBalanceStudy(cluster machine.ClusterSpec, name string,
 		if err != nil {
 			return nil, err
 		}
-		resN, err := simexec.Run(cfg, wlN)
+		resN, err := simnet.RunPoint(cfg, wlN)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func LoadBalanceStudy(cluster machine.ClusterSpec, name string,
 		if err != nil {
 			return nil, err
 		}
-		resR, err := simexec.Run(cfg, wlR)
+		resR, err := simnet.RunPoint(cfg, wlR)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genmat"
 	"repro/internal/machine"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 )
 
 func TestLoadBalanceStudy(t *testing.T) {
@@ -46,7 +46,7 @@ func TestPlacementStudySpread(t *testing.T) {
 	}
 	wc := NewWorkloadCache("HMeP", h, 2.5)
 	vals, err := PlacementStudy(machine.CrayXE6(), wc, 8,
-		simexec.ProcPerLD, core.VectorNoOverlap, 0.25, 4, 5)
+		simnet.ProcPerLD, core.VectorNoOverlap, 0.25, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestPlacementCompactBeatsScattered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := simexec.Run(simexec.Config{
-			Cluster: machine.CrayXE6(), Nodes: 16, Layout: simexec.ProcPerNode,
+		res, err := simnet.RunPoint(simnet.PointConfig{
+			Cluster: machine.CrayXE6(), Nodes: 16, Layout: simnet.ProcPerNode,
 			Mode: core.VectorNoOverlap, Iters: 6, TorusOccupancy: occ,
 		}, wl)
 		if err != nil {

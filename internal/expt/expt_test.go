@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genmat"
 	"repro/internal/machine"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 )
 
 func TestParseScale(t *testing.T) {
@@ -162,7 +162,7 @@ func TestScalingStudySmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(nodes int, l simexec.Layout, m core.Mode) float64 {
+	get := func(nodes int, l simnet.Layout, m core.Mode) float64 {
 		for _, p := range points {
 			if p.Nodes == nodes && p.Layout == l && p.Mode == m {
 				return p.GFlops
@@ -172,9 +172,9 @@ func TestScalingStudySmall(t *testing.T) {
 		return 0
 	}
 	// Task mode at least matches vector modes at scale (per LD panel).
-	task := get(8, simexec.ProcPerLD, core.TaskMode)
-	noov := get(8, simexec.ProcPerLD, core.VectorNoOverlap)
-	naive := get(8, simexec.ProcPerLD, core.VectorNaiveOverlap)
+	task := get(8, simnet.ProcPerLD, core.TaskMode)
+	noov := get(8, simnet.ProcPerLD, core.VectorNoOverlap)
+	naive := get(8, simnet.ProcPerLD, core.VectorNaiveOverlap)
 	if task < noov {
 		t.Errorf("task mode %.2f below no-overlap %.2f at 8 nodes", task, noov)
 	}
@@ -201,6 +201,82 @@ func TestScalingStudySmall(t *testing.T) {
 	}
 }
 
+// TestFig5Verdicts pins the winning kernel mode per (layout, node count) of
+// the Small-scale Fig. 5 sweep — HMeP on the Westmere cluster at
+// spmv-repro's 8 iterations — so a model change that flips a verdict fails
+// here instead of only shifting a number. A cell's verdict holds while the
+// pinned mode stays within 1% of the cell's best: the per-core cells at 2
+// and 4 nodes are such near-ties (task vs naive overlap, 0.02% and 0.2%).
+func TestFig5Verdicts(t *testing.T) {
+	const (
+		novl  = core.VectorNoOverlap
+		naive = core.VectorNaiveOverlap
+		task  = core.TaskMode
+	)
+	nodeCounts := []int{1, 2, 4, 8, 16}
+	want := map[simnet.Layout][]core.Mode{
+		simnet.ProcPerCore: {task, task, naive, naive, naive},
+		simnet.ProcPerLD:   {novl, task, task, task, naive},
+		simnet.ProcPerNode: {novl, task, task, task, task},
+	}
+	h, err := HolsteinSource(genmat.HMeP, Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := &ScalingStudy{Cluster: machine.WestmereCluster(), NodeCounts: nodeCounts, Iters: 8}
+	points, err := study.Run(NewWorkloadCache("HMeP", h, PaperKappa("HMeP")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		layout simnet.Layout
+		nodes  int
+	}
+	gflops := map[cell]map[core.Mode]float64{}
+	for _, p := range points {
+		c := cell{p.Layout, p.Nodes}
+		if gflops[c] == nil {
+			gflops[c] = map[core.Mode]float64{}
+		}
+		gflops[c][p.Mode] = p.GFlops
+	}
+	for layout, modes := range want {
+		for i, nodes := range nodeCounts {
+			perf := gflops[cell{layout, nodes}]
+			best := modes[i]
+			for m, g := range perf {
+				if g > perf[best] {
+					best = m
+				}
+			}
+			if perf[modes[i]] < 0.99*perf[best] {
+				t.Errorf("%v, %d nodes: pinned %v at %.3f GFlop/s, but %v wins at %.3f",
+					layout, nodes, modes[i], perf[modes[i]], best, perf[best])
+			}
+		}
+	}
+}
+
+func TestFig4Renders(t *testing.T) {
+	h, err := HolsteinSource(genmat.HMeP, Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Fig4(&buf, NewWorkloadCache("HMeP", h, PaperKappa("HMeP")), 2, 60); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, mode := range core.Modes {
+		if !strings.Contains(out, mode.String()+" (") {
+			t.Errorf("Fig4 output missing the %v panel", mode)
+		}
+	}
+	if !strings.Contains(out, "rank  3 C") || !strings.Contains(out, "E") || !strings.Contains(out, "L") {
+		t.Errorf("Fig4 output missing lanes or phases:\n%s", out)
+	}
+}
+
 func TestScalingStudySkipsImpossibleCray(t *testing.T) {
 	p, err := PoissonSource(Small)
 	if err != nil {
@@ -217,7 +293,7 @@ func TestScalingStudySkipsImpossibleCray(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range points {
-		if pt.Layout == simexec.ProcPerCore && pt.Mode == core.TaskMode {
+		if pt.Layout == simnet.ProcPerCore && pt.Mode == core.TaskMode {
 			t.Error("impossible Cray pure-MPI task mode was run")
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/simexec"
+	"repro/internal/simnet"
 )
 
 // nowSeconds is time.Now in seconds, separated for testability.
@@ -20,16 +20,16 @@ type WorkloadCache struct {
 	Name  string
 	Src   matrix.PatternSource
 	Kappa float64
-	cache map[int]*simexec.Workload
+	cache map[int]*simnet.Workload
 }
 
 // NewWorkloadCache wraps a pattern source.
 func NewWorkloadCache(name string, src matrix.PatternSource, kappa float64) *WorkloadCache {
-	return &WorkloadCache{Name: name, Src: src, Kappa: kappa, cache: map[int]*simexec.Workload{}}
+	return &WorkloadCache{Name: name, Src: src, Kappa: kappa, cache: map[int]*simnet.Workload{}}
 }
 
 // For returns the workload partitioned over the given rank count.
-func (c *WorkloadCache) For(ranks int) (*simexec.Workload, error) {
+func (c *WorkloadCache) For(ranks int) (*simnet.Workload, error) {
 	if wl, ok := c.cache[ranks]; ok {
 		return wl, nil
 	}
@@ -38,7 +38,7 @@ func (c *WorkloadCache) For(ranks int) (*simexec.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	wl := simexec.WorkloadFromPlan(plan, c.Name, c.Kappa)
+	wl := simnet.WorkloadFromPlan(plan, c.Name, c.Kappa)
 	c.cache[ranks] = wl
 	return wl, nil
 }
@@ -46,7 +46,7 @@ func (c *WorkloadCache) For(ranks int) (*simexec.Workload, error) {
 // ScalingPoint is one strong-scaling measurement.
 type ScalingPoint struct {
 	Nodes      int
-	Layout     simexec.Layout
+	Layout     simnet.Layout
 	Mode       core.Mode
 	GFlops     float64
 	Ranks      int
@@ -57,13 +57,13 @@ type ScalingPoint struct {
 type ScalingStudy struct {
 	Cluster    machine.ClusterSpec
 	NodeCounts []int
-	Layouts    []simexec.Layout
+	Layouts    []simnet.Layout
 	Modes      []core.Mode
 	Iters      int
 	// AsyncProgress runs the ablation with an MPI progress thread.
 	AsyncProgress bool
 	// TorusOccupancy < 1 scatters the job over a larger shared torus
-	// (Cray runs; see simexec.Config).
+	// (Cray runs; see simnet.PointConfig).
 	TorusOccupancy float64
 	// PlacementSeed seeds the scattered placement.
 	PlacementSeed uint64
@@ -78,7 +78,7 @@ var DefaultNodeCounts = []int{1, 2, 4, 8, 16, 24, 32}
 func (s *ScalingStudy) Run(wc *WorkloadCache) ([]ScalingPoint, error) {
 	layouts := s.Layouts
 	if layouts == nil {
-		layouts = simexec.Layouts
+		layouts = simnet.Layouts
 	}
 	modes := s.Modes
 	if modes == nil {
@@ -92,7 +92,7 @@ func (s *ScalingStudy) Run(wc *WorkloadCache) ([]ScalingPoint, error) {
 	for _, nodes := range nodeCounts {
 		for _, layout := range layouts {
 			for _, mode := range modes {
-				cfg := simexec.Config{
+				cfg := simnet.PointConfig{
 					Cluster:        s.Cluster,
 					Nodes:          nodes,
 					Layout:         layout,
@@ -102,7 +102,7 @@ func (s *ScalingStudy) Run(wc *WorkloadCache) ([]ScalingPoint, error) {
 					TorusOccupancy: s.TorusOccupancy,
 					PlacementSeed:  s.PlacementSeed,
 				}
-				if mode == core.TaskMode && s.Cluster.Node.SMTWays < 2 && layout == simexec.ProcPerCore {
+				if mode == core.TaskMode && s.Cluster.Node.SMTWays < 2 && layout == simnet.ProcPerCore {
 					// No virtual core for the communication thread and no
 					// spare physical core: the variant does not exist.
 					continue
@@ -111,7 +111,7 @@ func (s *ScalingStudy) Run(wc *WorkloadCache) ([]ScalingPoint, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := simexec.Run(cfg, wl)
+				res, err := simnet.RunPoint(cfg, wl)
 				if err != nil {
 					return nil, fmt.Errorf("expt: %d nodes %v %v: %w", nodes, layout, mode, err)
 				}
@@ -143,14 +143,44 @@ func fillEfficiency(points []ScalingPoint) {
 	}
 }
 
+// Fig4 renders the simulated counterpart of the paper's Fig. 4: the last
+// iteration of each kernel mode on the given number of Westmere nodes, one
+// process per LD, forced into the rendezvous regime, as per-rank phase
+// timelines. Task mode shows the exchange bar (E) over the local compute
+// bar (L); naive overlap shows the transfer squeezed into the wait instead.
+func Fig4(w io.Writer, wc *WorkloadCache, nodes, width int) error {
+	cluster := machine.WestmereCluster()
+	cluster.Net.EagerThreshold = 0
+	for _, mode := range core.Modes {
+		tr := &simnet.Trace{}
+		cfg := simnet.PointConfig{
+			Cluster: cluster, Nodes: nodes, Layout: simnet.ProcPerLD,
+			Mode: mode, Warmup: 2, Iters: 1, Trace: tr,
+		}
+		wl, err := wc.For(cfg.RanksFor())
+		if err != nil {
+			return err
+		}
+		res, err := simnet.RunPoint(cfg, wl)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n%s (%.2f GFlop/s, %d ranks):\n", mode, res.GFlops, res.Ranks)
+		if err := simnet.RenderGantt(w, tr.LastIteration(), width); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // PlacementStudy runs one torus configuration under several scattered
 // placements and returns the per-seed GFlops — quantifying the paper's
 // "strong influence of job topology and machine load on the communication
 // performance over the 2D torus network".
 func PlacementStudy(cluster machine.ClusterSpec, wc *WorkloadCache,
-	nodes int, layout simexec.Layout, mode core.Mode,
+	nodes int, layout simnet.Layout, mode core.Mode,
 	occupancy float64, seeds, iters int) ([]float64, error) {
-	cfg := simexec.Config{
+	cfg := simnet.PointConfig{
 		Cluster: cluster, Nodes: nodes, Layout: layout, Mode: mode,
 		Iters: iters, TorusOccupancy: occupancy,
 	}
@@ -161,7 +191,7 @@ func PlacementStudy(cluster machine.ClusterSpec, wc *WorkloadCache,
 	out := make([]float64, 0, seeds)
 	for s := 0; s < seeds; s++ {
 		cfg.PlacementSeed = uint64(s) * 7919
-		res, err := simexec.Run(cfg, wl)
+		res, err := simnet.RunPoint(cfg, wl)
 		if err != nil {
 			return nil, err
 		}
@@ -185,11 +215,11 @@ func BestPerNodeCount(points []ScalingPoint) map[int]ScalingPoint {
 // RenderScaling writes the three-panel table of one figure plus ASCII plots.
 func RenderScaling(w io.Writer, title string, points []ScalingPoint, cray map[int]ScalingPoint) error {
 	fmt.Fprintf(w, "\n%s\n", title)
-	byLayout := map[simexec.Layout][]ScalingPoint{}
+	byLayout := map[simnet.Layout][]ScalingPoint{}
 	for _, p := range points {
 		byLayout[p.Layout] = append(byLayout[p.Layout], p)
 	}
-	for _, layout := range simexec.Layouts {
+	for _, layout := range simnet.Layouts {
 		pts := byLayout[layout]
 		if len(pts) == 0 {
 			continue
@@ -211,11 +241,11 @@ func RenderScaling(w io.Writer, title string, points []ScalingPoint, cray map[in
 	return nil
 }
 
-func layoutPhrase(l simexec.Layout) string {
+func layoutPhrase(l simnet.Layout) string {
 	switch l {
-	case simexec.ProcPerCore:
+	case simnet.ProcPerCore:
 		return "per physical core (pure MPI)"
-	case simexec.ProcPerLD:
+	case simnet.ProcPerLD:
 		return "per NUMA locality domain"
 	default:
 		return "per node"

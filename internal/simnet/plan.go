@@ -11,12 +11,13 @@ import (
 	"repro/internal/machine"
 )
 
-// This file is the capacity planner: simexec's process-layout and
-// code-balance model (Eqs. 1/2, Figs. 5/6) rebuilt on the simnet Session,
-// so the simulated strong-scaling points exercise the SAME core.Comm
+// This file is the capacity planner: the paper's process layouts and
+// code-balance model (Eqs. 1/2, Figs. 5/6) on the simnet Session, so the
+// simulated strong-scaling points exercise the SAME core.Comm
 // persistent-channel surface the real runtime uses — Start/Wait halo
 // exchanges, modeled barriers — instead of a parallel MPI re-enactment.
-// cmd/spmv-sim drives it.
+// cmd/spmv-sim drives it, and so does the figure pipeline (internal/expt,
+// cmd/spmv-repro, spmv-scale, spmv-timeline).
 
 // Layout selects how MPI processes map onto a node (the three panels of
 // Figs. 5 and 6).
@@ -201,6 +202,10 @@ type PointConfig struct {
 	// (see Config).
 	TorusOccupancy float64
 	PlacementSeed  uint64
+
+	// Trace, when non-nil, records per-rank phase intervals (the simulated
+	// counterpart of the paper's Fig. 4 timelines). It adds no events.
+	Trace *Trace
 }
 
 // RanksFor returns the number of MPI ranks this configuration runs.
@@ -257,6 +262,24 @@ func (p *proc) joinCompute(pr *des.Proc, sys *fluid.System) bool {
 	return ran
 }
 
+// onComputeDone runs fn when the last flow in flight completes (at once if
+// there is none): the team's finish as seen from outside the proc that
+// joins it. fn runs inside a Done callback, so it schedules no event.
+func (p *proc) onComputeDone(fn func()) {
+	left := len(p.flows)
+	if left == 0 {
+		fn()
+		return
+	}
+	for _, f := range p.flows {
+		f.Done.OnFire(func() {
+			if left--; left == 0 {
+				fn()
+			}
+		})
+	}
+}
+
 // RunPoint simulates one strong-scaling point and returns its steady-state
 // performance. The halo exchange runs over real persistent core.Comm
 // channels (only structure matters here, so every channel slices one shared
@@ -268,6 +291,9 @@ func (p *proc) joinCompute(pr *des.Proc, sys *fluid.System) bool {
 //	split local:  nnzLocal·(eb+κ) + rows·24
 //	split remote: nnzRemote·(eb+κ) + rows·16  (result written twice, Eq. 2)
 //	gather:       24 bytes per gathered element
+//
+// With cfg.Trace set, every rank records its gather, exchange, local,
+// remote and full phases.
 func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 	if err := cfg.Cluster.Validate(); err != nil {
 		return Result{}, err
@@ -414,11 +440,15 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 				sends[i] = pc
 			}
 
-			computePhase := func(bytes float64) {
+			// computePhase runs one barrier-synchronized parallel region and
+			// traces it.
+			computePhase := func(phase string, bytes float64) {
+				t0 := pr.Now()
 				p.startCompute(sys, bytes)
 				if p.joinCompute(pr, sys) {
 					pr.Sleep(ompBarrier)
 				}
+				cfg.Trace.add(r, phase, t0, pr.Now())
 			}
 			startAll := func(reqs []core.PersistentRequest) error {
 				for _, q := range reqs {
@@ -437,46 +467,53 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 				}
 				return first
 			}
-			waitHalo := func() error {
+			// waitHalo completes the exchange begun at t0 and traces it.
+			waitHalo := func(t0 float64) error {
 				if err := waitAll(recvs); err != nil {
 					return err
 				}
-				return waitAll(sends)
+				err := waitAll(sends)
+				cfg.Trace.add(r, "exchange", t0, pr.Now())
+				return err
 			}
 
 			step := func() error {
 				if err := startAll(recvs); err != nil {
 					return err
 				}
-				computePhase(gatherBytes)
+				computePhase("gather", gatherBytes)
 				if err := startAll(sends); err != nil {
 					return err
 				}
 				switch cfg.Mode {
 				case core.VectorNoOverlap:
-					if err := waitHalo(); err != nil {
+					if err := waitHalo(pr.Now()); err != nil {
 						return err
 					}
-					computePhase(fullBytes)
+					computePhase("full", fullBytes)
 				case core.VectorNaiveOverlap:
 					// Local part first; with standard progress semantics
 					// the transfers do not move until the waits.
-					computePhase(localBytes)
-					if err := waitHalo(); err != nil {
+					computePhase("local", localBytes)
+					if err := waitHalo(pr.Now()); err != nil {
 						return err
 					}
-					computePhase(remoteBytes)
+					computePhase("remote", remoteBytes)
 				default: // core.TaskMode
 					// This proc doubles as the communication thread: it
 					// sits inside the MPI waits, driving progress, while
 					// the team's local flows compute concurrently.
+					t0 := pr.Now()
 					p.startCompute(sys, localBytes)
-					if err := waitHalo(); err != nil {
+					if cfg.Trace != nil {
+						p.onComputeDone(func() { cfg.Trace.add(r, "local", t0, pr.Now()) })
+					}
+					if err := waitHalo(t0); err != nil {
 						return err
 					}
 					p.joinCompute(pr, sys) // the omp_barrier of Fig. 4c
 					pr.Sleep(ompBarrier)
-					computePhase(remoteBytes)
+					computePhase("remote", remoteBytes)
 				}
 				return nil
 			}

@@ -1,6 +1,7 @@
-package simexec
+package simnet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 )
 
 // uniformRing builds a synthetic workload: every rank owns the same rows
-// and nonzeros and exchanges haloElems elements with each ring neighbour.
+// and nonzeros and exchanges haloElems elements with each ring neighbour
+// (none with itself, so a single rank does not communicate).
 func uniformRing(ranks, rowsPerRank int, nnzLocal, nnzRemote int64, haloElems int) *Workload {
 	wl := &Workload{
 		Name: "ring", Ranks: ranks, Kappa: 2.5,
@@ -42,9 +44,9 @@ func uniformRing(ranks, rowsPerRank int, nnzLocal, nnzRemote int64, haloElems in
 	return wl
 }
 
-func run(t *testing.T, cfg Config, wl *Workload) Result {
+func run(t *testing.T, cfg PointConfig, wl *Workload) Result {
 	t.Helper()
-	res, err := Run(cfg, wl)
+	res, err := RunPoint(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestSingleNodeMatchesBandwidthModel(t *testing.T) {
 	const rows = 100000
 	nnz := int64(rows * 15)
 	wl := uniformRing(1, rows, nnz, 0, 0)
-	cfg := Config{
+	cfg := PointConfig{
 		Cluster: machine.WestmereCluster(),
 		Nodes:   1, Layout: ProcPerNode, Mode: core.VectorNoOverlap,
 	}
@@ -85,7 +87,7 @@ func TestLayoutsEquivalentWithoutComm(t *testing.T) {
 	nnz := int64(rows * 15)
 	var ref float64
 	for _, layout := range Layouts {
-		cfg := Config{
+		cfg := PointConfig{
 			Cluster: machine.WestmereCluster(),
 			Nodes:   1, Layout: layout, Mode: core.VectorNoOverlap,
 		}
@@ -113,7 +115,7 @@ func TestTaskModeOverlapsNaiveDoesNot(t *testing.T) {
 	nnzR := int64(rows * 3)
 	halo := 120000 // ≈ 1 MB per neighbour: firmly rendezvous, substantial
 	wl := uniformRing(ranks, rows, nnzL, nnzR, halo)
-	base := Config{
+	base := PointConfig{
 		Cluster: machine.WestmereCluster(),
 		Nodes:   4, Layout: ProcPerLD,
 	}
@@ -143,7 +145,7 @@ func TestAsyncProgressRescuesNaiveOverlap(t *testing.T) {
 	const ranks = 8
 	rows := 40000
 	wl := uniformRing(ranks, rows, int64(rows*12), int64(rows*3), 120000)
-	base := Config{
+	base := PointConfig{
 		Cluster: machine.WestmereCluster(),
 		Nodes:   4, Layout: ProcPerLD, Mode: core.VectorNaiveOverlap,
 	}
@@ -168,7 +170,7 @@ func TestCommDominatedScalingSaturates(t *testing.T) {
 	totalRows := 1 << 20
 	totalNnz := int64(totalRows * 15)
 	perf := func(nodes int) float64 {
-		cfg := Config{
+		cfg := PointConfig{
 			Cluster: machine.WestmereCluster(),
 			Nodes:   nodes, Layout: ProcPerLD, Mode: core.VectorNoOverlap,
 		}
@@ -198,7 +200,7 @@ func TestDedicatedCoreVsSMTEquivalentBeyondSaturation(t *testing.T) {
 	wl := uniformRing(ranks, rows, int64(rows*12), int64(rows*3), 60000)
 	smt := CommOnSMT
 	ded := CommDedicatedCore
-	base := Config{
+	base := PointConfig{
 		Cluster: machine.WestmereCluster(),
 		Nodes:   2, Layout: ProcPerLD, Mode: core.TaskMode,
 	}
@@ -215,13 +217,13 @@ func TestDedicatedCoreVsSMTEquivalentBeyondSaturation(t *testing.T) {
 
 func TestTaskModeNeedsSMTOnMagnyCours(t *testing.T) {
 	smt := CommOnSMT
-	cfg := Config{
+	cfg := PointConfig{
 		Cluster: machine.CrayXE6(),
 		Nodes:   1, Layout: ProcPerLD, Mode: core.TaskMode,
 		CommPlacement: &smt,
 	}
 	wl := uniformRing(cfg.RanksFor(), 1000, 15000, 0, 0)
-	if _, err := Run(cfg, wl); err == nil {
+	if _, err := RunPoint(cfg, wl); err == nil {
 		t.Error("task mode on SMT accepted on a machine without SMT")
 	}
 }
@@ -258,7 +260,7 @@ func TestWorkloadFromPlan(t *testing.T) {
 		t.Errorf("sends %d, recvs %d", sends, recvs)
 	}
 	// And the workload must actually run.
-	cfg := Config{
+	cfg := PointConfig{
 		Cluster: machine.WestmereCluster(),
 		Nodes:   2, Layout: ProcPerLD, Mode: core.TaskMode,
 	}
@@ -270,17 +272,17 @@ func TestWorkloadFromPlan(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	wl := uniformRing(2, 100, 1000, 0, 0)
-	if _, err := Run(Config{Cluster: machine.WestmereCluster(), Nodes: 0, Layout: ProcPerLD, Mode: core.VectorNoOverlap}, wl); err == nil {
+	if _, err := RunPoint(PointConfig{Cluster: machine.WestmereCluster(), Nodes: 0, Layout: ProcPerLD, Mode: core.VectorNoOverlap}, wl); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if _, err := Run(Config{Cluster: machine.WestmereCluster(), Nodes: 3, Layout: ProcPerLD, Mode: core.VectorNoOverlap}, wl); err == nil {
+	if _, err := RunPoint(PointConfig{Cluster: machine.WestmereCluster(), Nodes: 3, Layout: ProcPerLD, Mode: core.VectorNoOverlap}, wl); err == nil {
 		t.Error("rank mismatch accepted")
 	}
 }
 
 func TestDeterministicResults(t *testing.T) {
 	wl := uniformRing(8, 5000, 60000, 15000, 20000)
-	cfg := Config{
+	cfg := PointConfig{
 		Cluster: machine.CrayXE6(),
 		Nodes:   2, Layout: ProcPerLD, Mode: core.VectorNoOverlap,
 	}
@@ -288,5 +290,31 @@ func TestDeterministicResults(t *testing.T) {
 	b := run(t, cfg, wl)
 	if a.TimePerIter != b.TimePerIter {
 		t.Errorf("nondeterministic: %g vs %g", a.TimePerIter, b.TimePerIter)
+	}
+}
+
+// TestTorusOccupancyRange: an occupancy is a fraction of the machine. Out
+// of range (or NaN) it is an error at both entry points, not a silent
+// dedicated torus.
+func TestTorusOccupancyRange(t *testing.T) {
+	cray := machine.CrayXE6()
+	for _, occ := range []float64{-0.1, 1.5, math.NaN(), 0, 0.25, 1} {
+		valid := occ >= 0 && occ <= 1
+		cfg := PointConfig{
+			Cluster: cray, Nodes: 2, Layout: ProcPerNode, Mode: core.VectorNoOverlap,
+			Iters: 1, TorusOccupancy: occ,
+		}
+		_, err := RunPoint(cfg, uniformRing(2, 1000, 15000, 0, 100))
+		if (err == nil) != valid {
+			t.Errorf("RunPoint with occupancy %g: err = %v, want valid=%v", occ, err, valid)
+		}
+		tr := &Transport{Config: Config{Machine: cray, TorusOccupancy: occ}}
+		w, err := tr.Dial(context.Background(), 4)
+		if (err == nil) != valid {
+			t.Errorf("Dial with occupancy %g: err = %v, want valid=%v", occ, err, valid)
+		}
+		if w != nil {
+			w.Close()
+		}
 	}
 }

@@ -73,7 +73,8 @@ type Config struct {
 	// TorusOccupancy (torus networks only) is the fraction of the machine
 	// the job owns; values in (0,1) scatter the job's nodes over a
 	// proportionally larger torus, modeling fragmented allocations. 0 or 1
-	// means a dedicated, exactly-fitting torus.
+	// means a dedicated, exactly-fitting torus; values outside [0, 1] are
+	// rejected.
 	TorusOccupancy float64
 	// PlacementSeed seeds the scattered placement.
 	PlacementSeed uint64
@@ -130,7 +131,11 @@ func (t *Transport) Dial(ctx context.Context, size int) (core.World, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return newWorld(t.Config, size, t.Kills, t.Slow, t.RecvDeadline)
+	w, err := newWorld(t.Config, size, t.Kills, t.Slow, t.RecvDeadline)
+	if err != nil {
+		return nil, err // not a nil *world inside a non-nil core.World
+	}
+	return w, nil
 }
 
 // pathEnt caches one node pair's route.
@@ -209,6 +214,9 @@ func newWorld(cfg Config, size int, kills []Kill, slow []Slowdown, recvDeadline 
 		return nil, fmt.Errorf("simnet: %d ranks per node", rpn)
 	}
 	nodes := (size + rpn - 1) / rpn
+	if !(cfg.TorusOccupancy >= 0 && cfg.TorusOccupancy <= 1) { // NaN fails both
+		return nil, fmt.Errorf("simnet: torus occupancy %g outside [0, 1]", cfg.TorusOccupancy)
+	}
 
 	sim := des.New()
 	sys := fluid.NewSystem(sim)

@@ -1,4 +1,4 @@
-package simexec
+package simnet
 
 import (
 	"fmt"
@@ -15,9 +15,9 @@ type Span struct {
 	T1    float64
 }
 
-// Trace collects phase intervals during a simulated run (safe without
-// locking: simulator procs execute one at a time). Attach one to
-// Config.Trace to enable tracing.
+// Trace collects phase intervals during a simulated point (safe without
+// locking: session procs execute one at a time). Attach one to
+// PointConfig.Trace to enable tracing; a nil Trace records nothing.
 type Trace struct {
 	Spans []Span
 }
@@ -73,10 +73,10 @@ var phaseGlyphs = map[string]byte{
 // the L bar in the W lane is exactly the paper's task-mode overlap.
 func RenderGantt(w io.Writer, spans []Span, width int) error {
 	if len(spans) == 0 {
-		return fmt.Errorf("simexec: empty trace")
+		return fmt.Errorf("simnet: empty trace")
 	}
 	if width < 20 {
-		return fmt.Errorf("simexec: gantt width %d too small", width)
+		return fmt.Errorf("simnet: gantt width %d too small", width)
 	}
 	t0, t1 := spans[0].T0, spans[0].T1
 	maxRank := 0

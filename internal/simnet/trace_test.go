@@ -1,4 +1,4 @@
-package simexec
+package simnet
 
 import (
 	"bytes"
@@ -18,11 +18,11 @@ func traceRun(t *testing.T, mode core.Mode) *Trace {
 	cluster := machine.WestmereCluster()
 	cluster.Net.EagerThreshold = 0
 	tr := &Trace{}
-	cfg := Config{
+	cfg := PointConfig{
 		Cluster: cluster, Nodes: 2, Layout: ProcPerLD, Mode: mode,
 		Warmup: 1, Iters: 2, Trace: tr,
 	}
-	if _, err := Run(cfg, wl); err != nil {
+	if _, err := RunPoint(cfg, wl); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -112,6 +112,25 @@ func TestRenderGantt(t *testing.T) {
 	}
 	if err := RenderGantt(&buf, tr.Spans, 5); err == nil {
 		t.Error("tiny width accepted")
+	}
+}
+
+// TestTraceDoesNotPerturbPoint: tracing observes a point without moving
+// it — the same time per iteration and the same DES event count.
+func TestTraceDoesNotPerturbPoint(t *testing.T) {
+	wl := uniformRing(4, 30000, 30000*12, 30000*3, 90000)
+	for _, mode := range core.Modes {
+		cfg := PointConfig{Cluster: machine.WestmereCluster(), Nodes: 2, Layout: ProcPerLD, Mode: mode}
+		plain := run(t, cfg, wl)
+		cfg.Trace = &Trace{}
+		traced := run(t, cfg, wl)
+		if traced.TimePerIter != plain.TimePerIter || traced.Events != plain.Events {
+			t.Errorf("%v: traced (t=%v, events=%d) vs untraced (t=%v, events=%d)",
+				mode, traced.TimePerIter, traced.Events, plain.TimePerIter, plain.Events)
+		}
+		if len(cfg.Trace.Spans) == 0 {
+			t.Errorf("%v: nothing traced", mode)
+		}
 	}
 }
 
