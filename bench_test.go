@@ -151,6 +151,43 @@ func BenchmarkSplitPenalty(b *testing.B) {
 	})
 }
 
+// BenchmarkRowKernels times each CSR-family row loop serially over all its
+// rows: the full CSR product, and the two halves of the column split at
+// NumCols/2 — the LocalView prefix pass and the CompactCSR remote pass.
+// GFlop/s counts each kernel's own stored entries.
+func BenchmarkRowKernels(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		a    func(*testing.B) *matrix.CSR
+	}{
+		{"HMeP", func(b *testing.B) *matrix.CSR { return holsteinSmall(b, genmat.HMeP) }},
+		{"Poisson", poissonSmall},
+	} {
+		a := m.a(b)
+		x := randomX(a.NumCols)
+		y := make([]float64, a.NumRows)
+		split := spmv.NewSplit(a, a.NumCols/2)
+		rem := split.Remote
+		for _, k := range []struct {
+			name string
+			nnz  int64
+			run  func()
+		}{
+			{"CSR", a.Nnz(), func() { a.MulVecBlocks(y, x, 0, a.NumRows) }},
+			{"LocalView", split.Local.Nnz(), func() { split.Local.MulVecBlocks(y, x, 0, a.NumRows) }},
+			{"CompactCSR", rem.Nnz(), func() { rem.MulStoredRowsAdd(y, x, 0, rem.NumStoredRows()) }},
+		} {
+			b.Run(m.name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+				reportSpmv(b, k.nnz)
+			})
+		}
+	}
+}
+
 // BenchmarkFormats compares CRS against ELLPACK and JDS on the HMeP
 // matrix — substantiating §1.2's choice of CRS as "the most efficient
 // format for general sparse matrices on cache-based microprocessors".

@@ -70,33 +70,61 @@ func (a *CSR) NumBlocks() int { return a.NumRows }
 // BlockNnzPrefix returns RowPtr: per-row nonzero counts in prefix form.
 func (a *CSR) BlockNnzPrefix() []int64 { return a.RowPtr }
 
-// MulVecBlocks computes y[lo:hi] = (A·x)[lo:hi] with the unrolled row kernel.
+// MulVecBlocks computes y[lo:hi] = (A·x)[lo:hi]. The row loop is RowDot's
+// body written out in place: RowDot is too large for the compiler to inline,
+// and a call per row was the largest single cost of the kernel. The order
+// of the additions is RowDot's, which TestCSRRowKernelsMatchRowDot pins.
 //
 //repro:noalloc
 func (a *CSR) MulVecBlocks(y, x []float64, lo, hi int) {
 	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
 	for i := lo; i < hi; i++ {
-		y[i] = RowDot(0, val, colIdx, x, rowPtr[i], rowPtr[i+1])
+		k, end := rowPtr[i], rowPtr[i+1]
+		s := 0.0
+		for ; k+4 <= end; k += 4 {
+			s += val[k] * x[colIdx[k]]
+			s += val[k+1] * x[colIdx[k+1]]
+			s += val[k+2] * x[colIdx[k+2]]
+			s += val[k+3] * x[colIdx[k+3]]
+		}
+		for ; k < end; k++ {
+			s += val[k] * x[colIdx[k]]
+		}
+		y[i] = s
 	}
 }
 
-// MulVecBlocksAdd computes y[lo:hi] += (A·x)[lo:hi].
+// MulVecBlocksAdd computes y[lo:hi] += (A·x)[lo:hi], starting each row's
+// sum from y[i] as RowDot(y[i], …) does.
 //
 //repro:noalloc
 func (a *CSR) MulVecBlocksAdd(y, x []float64, lo, hi int) {
 	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
 	for i := lo; i < hi; i++ {
-		y[i] = RowDot(y[i], val, colIdx, x, rowPtr[i], rowPtr[i+1])
+		k, end := rowPtr[i], rowPtr[i+1]
+		s := y[i]
+		for ; k+4 <= end; k += 4 {
+			s += val[k] * x[colIdx[k]]
+			s += val[k+1] * x[colIdx[k+1]]
+			s += val[k+2] * x[colIdx[k+2]]
+			s += val[k+3] * x[colIdx[k+3]]
+		}
+		for ; k < end; k++ {
+			s += val[k] * x[colIdx[k]]
+		}
+		y[i] = s
 	}
 }
 
 // RowDot accumulates s + Σ val[k]·x[colIdx[k]] over k in [lo, hi), 4-way
 // unrolled. The unroll keeps a single running accumulator — strictly
-// sequential floating-point order — so every kernel built on it (serial,
-// parallel, split two-pass, compacted halo) produces bit-identical
-// results; it still amortizes loop control and bounds checks over four
-// entries. This is the single row kernel of the engine: every other
-// kernel either calls it or (SELL-C-σ) preserves its summation order.
+// sequential floating-point order — and still amortizes loop control and
+// bounds checks over four entries. RowDot is the reference summation order
+// of the engine: the hot row loops (CSR, spmv.LocalView, spmv.CompactCSR)
+// restate its body inline rather than pay a call per row, SELL-C-σ keeps
+// the same order per row, and tests pin each CSR-family loop to it bit for
+// bit — which is what makes the serial, parallel, split two-pass and
+// compacted-halo results bit-identical.
 //
 //repro:noalloc
 func RowDot(s float64, val []float64, colIdx []int32, x []float64, lo, hi int64) float64 {

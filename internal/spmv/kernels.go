@@ -116,6 +116,9 @@ func (c *CompactCSR) Validate() error {
 	if len(c.RowPtr) != len(c.Rows)+1 {
 		return fmt.Errorf("spmv: compact RowPtr length %d, want %d", len(c.RowPtr), len(c.Rows)+1)
 	}
+	if c.RowPtr[0] != 0 {
+		return fmt.Errorf("spmv: compact RowPtr[0] = %d, want 0", c.RowPtr[0])
+	}
 	prev := int32(-1)
 	for p, i := range c.Rows {
 		if i <= prev || int(i) >= c.NumRows {
@@ -142,17 +145,28 @@ func (c *CompactCSR) Validate() error {
 // — indices into Rows, not original row numbers. Chunking the remote pass
 // by stored rows (BalanceNnz over RowPtr) balances on the compacted
 // remote's nnz; chunks own disjoint stored rows, hence disjoint result
-// rows. The inner loop (matrix.RowDot) keeps the strictly sequential
-// accumulation order every kernel of the engine shares, and the second
-// pass's += on the result vector is what motivates the modified code
-// balance of Eq. (2).
+// rows. The row loop is matrix.RowDot's body inline — the strictly
+// sequential accumulation order every kernel of the engine shares, without
+// a call per row — and the second pass's += on the result vector is what
+// motivates the modified code balance of Eq. (2).
 //
 //repro:noalloc
 func (c *CompactCSR) MulStoredRowsAdd(y, x []float64, lo, hi int) {
-	rowPtr, colIdx, val := c.RowPtr, c.ColIdx, c.Val
+	rows, rowPtr, colIdx, val := c.Rows, c.RowPtr, c.ColIdx, c.Val
 	for p := lo; p < hi; p++ {
-		i := c.Rows[p]
-		y[i] = matrix.RowDot(y[i], val, colIdx, x, rowPtr[p], rowPtr[p+1])
+		i := rows[p]
+		k, end := rowPtr[p], rowPtr[p+1]
+		s := y[i]
+		for ; k+4 <= end; k += 4 {
+			s += val[k] * x[colIdx[k]]
+			s += val[k+1] * x[colIdx[k+1]]
+			s += val[k+2] * x[colIdx[k+2]]
+			s += val[k+3] * x[colIdx[k+3]]
+		}
+		for ; k < end; k++ {
+			s += val[k] * x[colIdx[k]]
+		}
+		y[i] = s
 	}
 }
 
@@ -207,9 +221,9 @@ func NewCompactRemote(a *matrix.CSR, localCols int) *CompactCSR {
 // It needs every row of A to list its columns < LocalCols before the
 // others, which ascending rows do. No entry is stored a second time — by
 // Eq. (1) the kernel is bound by the matrix bytes it streams, and a copy
-// would double the bytes a rank holds — and the kernel is the same RowDot
-// over the same values in the same order as a column-restricted copy's, so
-// results are bit-identical to one.
+// would double the bytes a rank holds — and the kernel runs matrix.RowDot's
+// order over the same values as a column-restricted copy's, so results are
+// bit-identical to one.
 type LocalView struct {
 	A *matrix.CSR
 	// Mid has one entry per row: the end of the row's local prefix, as an
@@ -275,13 +289,25 @@ func (v *LocalView) Chunks(parts int) []Range {
 	})
 }
 
-// MulVecBlocks computes y[lo:hi] = (A_local·x)[lo:hi].
+// MulVecBlocks computes y[lo:hi] = (A_local·x)[lo:hi], with matrix.RowDot's
+// body inline over each row's prefix [RowPtr[i], Mid[i]).
 //
 //repro:noalloc
 func (v *LocalView) MulVecBlocks(y, x []float64, lo, hi int) {
 	rowPtr, mid, colIdx, val := v.A.RowPtr, v.Mid, v.A.ColIdx, v.A.Val
 	for i := lo; i < hi; i++ {
-		y[i] = matrix.RowDot(0, val, colIdx, x, rowPtr[i], mid[i])
+		k, end := rowPtr[i], mid[i]
+		s := 0.0
+		for ; k+4 <= end; k += 4 {
+			s += val[k] * x[colIdx[k]]
+			s += val[k+1] * x[colIdx[k+1]]
+			s += val[k+2] * x[colIdx[k+2]]
+			s += val[k+3] * x[colIdx[k+3]]
+		}
+		for ; k < end; k++ {
+			s += val[k] * x[colIdx[k]]
+		}
+		y[i] = s
 	}
 }
 
@@ -291,7 +317,18 @@ func (v *LocalView) MulVecBlocks(y, x []float64, lo, hi int) {
 func (v *LocalView) MulVecBlocksAdd(y, x []float64, lo, hi int) {
 	rowPtr, mid, colIdx, val := v.A.RowPtr, v.Mid, v.A.ColIdx, v.A.Val
 	for i := lo; i < hi; i++ {
-		y[i] = matrix.RowDot(y[i], val, colIdx, x, rowPtr[i], mid[i])
+		k, end := rowPtr[i], mid[i]
+		s := y[i]
+		for ; k+4 <= end; k += 4 {
+			s += val[k] * x[colIdx[k]]
+			s += val[k+1] * x[colIdx[k+1]]
+			s += val[k+2] * x[colIdx[k+2]]
+			s += val[k+3] * x[colIdx[k+3]]
+		}
+		for ; k < end; k++ {
+			s += val[k] * x[colIdx[k]]
+		}
+		y[i] = s
 	}
 }
 

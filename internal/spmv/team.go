@@ -27,8 +27,15 @@ import (
 // spinRounds is how many times a worker yields while polling for the next
 // parallel region before parking on the condition variable. Back-to-back
 // regions (iterative solvers, benchmarks) stay on the cheap spin path; idle
-// teams park and cost nothing.
-const spinRounds = 128
+// teams park and cost nothing. The budget is sized against the wake it
+// saves: a round costs 75–150 ns on a 2-vCPU Xeon, so 128 rounds gave up
+// after 9–19 µs, while a park plus the wake of its thread costs 20–70 µs
+// there — a task-mode compute thread that finished its local pass before
+// the halo arrived parked and then paid that wake on the remote pass.
+// 1024 rounds (77–150 µs) spans the wake: against 128 it measured +25 %
+// served products per second, and 512 or 2048 were no better. A team idle
+// for longer still parks (TestIdleTeamParks).
+const spinRounds = 1024
 
 // Region is one parallel region: a participant count and a body, fixed at
 // Compile time, plus the per-execution state (ticket, outstanding-chunk

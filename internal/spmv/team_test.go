@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Every worker index of a region runs exactly once per execution, whether
@@ -146,6 +147,35 @@ func BenchmarkTeamExec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				team.Exec(region)
 			}
+		})
+	}
+}
+
+// BenchmarkTeamIdleGap is one Start/Join of an empty region after the
+// caller has been busy elsewhere for gap — the halo wait of a task-mode
+// step, or the request path between two served products. A worker still
+// spinning when the region is published picks it up at once; one that has
+// parked must be woken, which is what the team's spin budget is sized
+// against. us/region times Start to Join only, not the gap.
+func BenchmarkTeamIdleGap(b *testing.B) {
+	for _, gap := range []time.Duration{0, 20 * time.Microsecond, 100 * time.Microsecond} {
+		b.Run(fmt.Sprintf("gap=%v", gap), func(b *testing.B) {
+			team := NewTeam(1)
+			defer team.Close()
+			region := team.Compile(1, func(int) {})
+			team.Start(region)
+			team.Join()
+			var inRegion time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for t0 := time.Now(); time.Since(t0) < gap; {
+				}
+				t0 := time.Now()
+				team.Start(region)
+				team.Join()
+				inRegion += time.Since(t0)
+			}
+			b.ReportMetric(inRegion.Seconds()*1e6/float64(b.N), "us/region")
 		})
 	}
 }
