@@ -18,9 +18,16 @@
 // drivers — simnet's transport, where foreign goroutines (cluster ranks)
 // block on simulated operations and take turns advancing the clock.
 //
-// Event objects are pooled: once an event has fired or been cancelled and
-// subsequently popped, the kernel may reuse it for a later At call. Holders
-// must therefore drop an *Event after firing or after calling Cancel —
+// The event queue is an indexed binary heap that holds only live events:
+// every Event knows its heap slot, so Cancel takes it out at once (a swap
+// with the last entry and one sift) instead of leaving a dead entry for a
+// later pop to skip. Fire order is strictly (time, scheduling order)
+// either way, and Events counts every At, so removing dead entries changes
+// no run.
+//
+// Event objects are pooled: an event goes back to the pool the moment it
+// fires or is cancelled, and the next At may reuse it. Holders must
+// therefore drop an *Event after firing or after calling Cancel —
 // cancelling twice, or cancelling a stale pointer kept past its firing, is
 // undefined.
 //
@@ -38,7 +45,7 @@ import (
 // Sim is a discrete-event simulator instance.
 type Sim struct {
 	now     float64
-	events  []*Event // binary heap ordered by (t, seq)
+	events  []*Event // live events, a binary heap ordered by (t, seq)
 	seq     int64
 	free    []*Event // recycled event objects
 	procs   []*Proc  // spawned and not yet finished
@@ -59,17 +66,26 @@ func (s *Sim) Events() int64 { return s.seq }
 // firing; canceling a fired event is a no-op, but see the package comment:
 // pointers must be dropped once the event has fired or been cancelled.
 type Event struct {
-	t         float64
-	seq       int64
-	fn        func()
-	cancelled bool
+	t   float64
+	seq int64
+	fn  func()
+	sim *Sim
+	idx int // slot in sim.events; -1 once fired or cancelled
 }
 
-// Cancel marks the event so it will not fire.
+// Cancel removes a pending event from the queue and returns it to the
+// pool at once, so the queue holds only live events. On an event that has
+// already fired or been cancelled (and not been reused since) it does
+// nothing.
+//
+//repro:noalloc
 func (e *Event) Cancel() {
-	if e != nil {
-		e.cancelled = true
+	if e == nil || e.idx < 0 {
+		return
 	}
+	s := e.sim
+	s.remove(e.idx)
+	s.recycle(e)
 }
 
 // At schedules fn to run at absolute time t (≥ now).
@@ -85,11 +101,12 @@ func (s *Sim) At(t float64, fn func()) *Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.t, e.seq, e.fn, e.cancelled = t, s.seq, fn, false
+		e.t, e.seq, e.fn = t, s.seq, fn
 	} else {
-		e = &Event{t: t, seq: s.seq, fn: fn} //repro:alloc-ok pool warm-up; steady state recycles
+		e = &Event{t: t, seq: s.seq, fn: fn, sim: s} //repro:alloc-ok pool warm-up; steady state recycles
 	}
-	s.push(e)
+	s.events = append(s.events, e) //repro:alloc-ok heap storage grows once to high-water mark
+	s.up(e, len(s.events)-1)
 	return e
 }
 
@@ -100,41 +117,33 @@ func (s *Sim) After(d float64, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// Pending reports whether any uncancelled event remains scheduled.
-// Cancelled events at the heap front are discarded on the way.
+// Pending reports whether any event remains scheduled.
 //
 //repro:noalloc
-func (s *Sim) Pending() bool {
-	_, ok := s.NextAt()
-	return ok
-}
+func (s *Sim) Pending() bool { return len(s.events) > 0 }
 
-// NextAt returns the time of the next uncancelled event without firing
-// it, discarding cancelled events at the heap front on the way. ok is
-// false when no uncancelled event remains. Open-world drivers use it to
-// decide whether advancing the clock is safe (simnet's receive-deadline
-// cap).
+// NextAt returns the time of the next event without firing it; ok is
+// false when none remains. Open-world drivers use it to decide whether
+// advancing the clock is safe (simnet's receive-deadline cap).
 //
 //repro:noalloc
 func (s *Sim) NextAt() (t float64, ok bool) {
-	for len(s.events) > 0 {
-		if !s.events[0].cancelled {
-			return s.events[0].t, true
-		}
-		s.recycle(s.pop())
+	if len(s.events) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.events[0].t, true
 }
 
 // Step pops and executes the next event, advancing the clock to its time.
-// It returns false if no uncancelled event remains.
+// It returns false if no event remains.
 //
 //repro:noalloc
 func (s *Sim) Step() bool {
-	if !s.Pending() {
+	if len(s.events) == 0 {
 		return false
 	}
-	e := s.pop()
+	e := s.events[0]
+	s.remove(0)
 	s.now = e.t
 	fn := e.fn
 	s.recycle(e)
@@ -142,12 +151,12 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// recycle returns a popped event to the freelist.
+// recycle returns an event that has left the heap to the freelist.
 //
 //repro:noalloc
 func (s *Sim) recycle(e *Event) {
 	e.fn = nil
-	e.cancelled = false
+	e.idx = -1
 	s.free = append(s.free, e) //repro:alloc-ok freelist grows once to high-water mark
 }
 
@@ -332,52 +341,71 @@ func (s *Sim) Run() error {
 	return nil
 }
 
-// push inserts e into the (t, seq)-ordered binary heap. Inlined rather
-// than container/heap so pooled events never round-trip through an
-// interface box.
+// The heap is written out rather than built on container/heap so pooled
+// events never round-trip through an interface box. Its helpers move a
+// hole instead of swapping: each displaced entry is written once, with its
+// new slot.
+
+// remove takes the event in slot i out of the heap: the last entry fills
+// the slot and sifts whichever way restores the order.
 //
 //repro:noalloc
-func (s *Sim) push(e *Event) {
-	s.events = append(s.events, e) //repro:alloc-ok heap storage grows once to high-water mark
-	i := len(s.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(s.events[i], s.events[parent]) {
-			break
-		}
-		s.events[i], s.events[parent] = s.events[parent], s.events[i]
-		i = parent
+func (s *Sim) remove(i int) {
+	n := len(s.events) - 1
+	last := s.events[n]
+	s.events[n] = nil
+	s.events = s.events[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && eventLess(last, s.events[(i-1)/2]) {
+		s.up(last, i)
+	} else {
+		s.down(last, i)
 	}
 }
 
-// pop removes and returns the minimum event.
+// up places e, bound for slot i, at or above i.
 //
 //repro:noalloc
-func (s *Sim) pop() *Event {
+func (s *Sim) up(e *Event, i int) {
 	h := s.events
-	n := len(h) - 1
-	e := h[0]
-	h[0] = h[n]
-	h[n] = nil
-	s.events = h[:n]
-	h = s.events
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && eventLess(h[l], h[small]) {
-			small = l
-		}
-		if r < n && eventLess(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !eventLess(e, h[parent]) {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+		h[i] = h[parent]
+		h[i].idx = i
+		i = parent
 	}
-	return e
+	h[i] = e
+	e.idx = i
+}
+
+// down places e, bound for slot i, at or below i.
+//
+//repro:noalloc
+func (s *Sim) down(e *Event, i int) {
+	h := s.events
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && eventLess(h[r], h[c]) {
+			c = r
+		}
+		if !eventLess(h[c], e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].idx = i
+		i = c
+	}
+	h[i] = e
+	e.idx = i
 }
 
 func eventLess(a, b *Event) bool {

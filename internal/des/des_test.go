@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -369,5 +370,156 @@ func TestFireThenResetInsideCallback(t *testing.T) {
 		if woke[i] != want[i] {
 			t.Fatalf("woke at %v, want %v", woke, want)
 		}
+	}
+}
+
+// checkQueue asserts the heap invariants: every queued event's stored
+// position is its slot, and no event sorts before its parent.
+func checkQueue(t *testing.T, s *Sim) {
+	t.Helper()
+	for i, e := range s.events {
+		if e.idx != i {
+			t.Fatalf("event in slot %d records slot %d", i, e.idx)
+		}
+		if i > 0 && eventLess(e, s.events[(i-1)/2]) {
+			t.Fatalf("event in slot %d sorts before its parent", i)
+		}
+	}
+}
+
+// refEvent is one pending event as the reference model sees it.
+type refEvent struct {
+	t   float64
+	seq int64 // its place in scheduling order, which also names it
+	e   *Event
+}
+
+// TestQueueMatchesSortedReference drives the queue with random At, Cancel
+// and Step — equal times, cancels from inside callbacks, cancels of events
+// that already fired or were already cancelled — against a reference that
+// fires the pending event of least (time, scheduling order). Fire order,
+// fire times and Events must agree, and the heap must stay consistent
+// after every operation.
+func TestQueueMatchesSortedReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		var live []*refEvent
+		var got, want []int64
+		var scheduled int64
+		// stale is the last event to fire or be cancelled, as long as no At
+		// has run since (At may reuse it); cancelling it must do nothing.
+		var stale *Event
+		drop := func(k int) *refEvent {
+			r := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			return r
+		}
+		var schedule func()
+		cancelOne := func() {
+			if len(live) == 0 {
+				return
+			}
+			r := drop(rng.Intn(len(live)))
+			r.e.Cancel()
+			stale = r.e
+		}
+		fire := func(r *refEvent) {
+			got = append(got, r.seq)
+			if s.Now() != r.t {
+				t.Fatalf("seed %d: event %d fired at %g, scheduled for %g", seed, r.seq, s.Now(), r.t)
+			}
+			stale = r.e
+			if rng.Intn(4) == 0 {
+				stale.Cancel() // the firing event itself
+			}
+			if rng.Intn(3) == 0 {
+				cancelOne()
+			}
+			if rng.Intn(2) == 0 {
+				schedule()
+			}
+			checkQueue(t, s)
+		}
+		schedule = func() {
+			scheduled++
+			r := &refEvent{t: s.Now() + 0.5*float64(rng.Intn(4)), seq: scheduled}
+			r.e = s.At(r.t, func() { fire(r) })
+			live = append(live, r)
+			stale = nil
+		}
+		step := func() bool {
+			if len(live) == 0 {
+				if s.Step() {
+					t.Fatalf("seed %d: Step fired with nothing pending", seed)
+				}
+				return false
+			}
+			first := 0
+			for k, r := range live {
+				if r.t < live[first].t || (r.t == live[first].t && r.seq < live[first].seq) {
+					first = k
+				}
+			}
+			r := drop(first)
+			want = append(want, r.seq)
+			if !s.Step() {
+				t.Fatalf("seed %d: Step found nothing with %d pending", seed, len(live)+1)
+			}
+			return true
+		}
+		for op := 0; op < 3000; op++ {
+			switch x := rng.Intn(20); {
+			case x < 9:
+				schedule()
+			case x < 13:
+				cancelOne()
+			case x < 19:
+				step()
+			default:
+				stale.Cancel()
+			}
+			checkQueue(t, s)
+			if len(s.events) != len(live) {
+				t.Fatalf("seed %d: %d events queued, %d pending", seed, len(s.events), len(live))
+			}
+			if s.Events() != scheduled {
+				t.Fatalf("seed %d: Events %d after %d At calls", seed, s.Events(), scheduled)
+			}
+		}
+		for step() {
+			checkQueue(t, s)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events fired, reference fired %d", seed, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("seed %d: firing %d is event %d, reference fires %d", seed, k, got[k], want[k])
+			}
+		}
+		if s.Pending() {
+			t.Fatalf("seed %d: events left after the reference drained", seed)
+		}
+	}
+}
+
+// TestAllocGateEventQueue: once the heap and the freelist have grown, a
+// steady At + Cancel + Step cycle allocates nothing.
+func TestAllocGateEventQueue(t *testing.T) {
+	s := New()
+	fn := func() {}
+	for i := 0; i < 100; i++ {
+		s.After(float64(i%7), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e := s.After(3, fn)
+		s.After(5, fn)
+		e.Cancel()
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("At + Cancel + Step allocated %g times per cycle", allocs)
 	}
 }

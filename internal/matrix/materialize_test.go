@@ -249,3 +249,52 @@ func TestRowNnzCountsCSRMatchesStreaming(t *testing.T) {
 		}
 	}
 }
+
+// RowNnzCounts equals a serial count of every row on every generator, at
+// one processor and at several. Run under -race this is also the check
+// that the parallel pass writes disjoint memory.
+func TestRowNnzCountsMatchesSerialCount(t *testing.T) {
+	for name, src := range testSources(t) {
+		rows, _ := src.Dims()
+		want := make([]int64, rows)
+		for i := range want {
+			want[i] = int64(len(src.AppendRow(i, nil)))
+		}
+		for _, procs := range []int{1, 2, 5} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := matrix.RowNnzCounts(src)
+			runtime.GOMAXPROCS(prev)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s at %d procs: RowNnzCounts differs from the serial count", name, procs)
+			}
+		}
+	}
+}
+
+// brokenRow is a source whose AppendRow panics on one row.
+type brokenRow struct {
+	*matrix.CSR
+	row int
+}
+
+func (b brokenRow) AppendRow(i int, dst []int32) []int32 {
+	if i == b.row {
+		panic(fmt.Sprintf("row %d is broken", i))
+	}
+	return b.CSR.AppendRow(i, dst)
+}
+
+func TestRowNnzCountsPanicReachesCaller(t *testing.T) {
+	a := wideRows(210)
+	for _, procs := range []int{1, 3} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			defer func() {
+				if msg := fmt.Sprint(recover()); msg != "row 129 is broken" {
+					t.Errorf("at %d procs: recovered %q, want the source's panic", procs, msg)
+				}
+			}()
+			matrix.RowNnzCounts(brokenRow{a, 129})
+		}()
+	}
+}

@@ -44,13 +44,7 @@ type ValueSource interface {
 func Materialize(src ValueSource) *CSR {
 	rows, cols := src.Dims()
 	a := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
-	forRowRanges(rows, func(lo, hi int) {
-		var buf []int32
-		for i := lo; i < hi; i++ {
-			buf = src.AppendRow(i, buf[:0])
-			a.RowPtr[i+1] = int64(len(buf))
-		}
-	})
+	countRows(src, a.RowPtr[1:])
 	for i := 0; i < rows; i++ {
 		a.RowPtr[i+1] += a.RowPtr[i]
 	}
@@ -99,9 +93,22 @@ func forRowRanges(rows int, fn func(lo, hi int)) {
 	}
 }
 
+// countRows stores the length of row i of src in counts[i], for every row,
+// streaming disjoint row ranges in parallel.
+func countRows(src PatternSource, counts []int64) {
+	forRowRanges(len(counts), func(lo, hi int) {
+		var buf []int32
+		for i := lo; i < hi; i++ {
+			buf = src.AppendRow(i, buf[:0])
+			counts[i] = int64(len(buf))
+		}
+	})
+}
+
 // RowNnzCounts returns the number of stored entries in each row: RowPtr
-// differences for a *CSR, which already holds the answer, one streaming
-// pass over the pattern for anything else.
+// differences for a *CSR, which already holds the answer, one parallel
+// streaming pass over the pattern for anything else. A panic in the
+// source reaches the caller.
 func RowNnzCounts(src PatternSource) []int64 {
 	rows, _ := src.Dims()
 	counts := make([]int64, rows)
@@ -111,25 +118,8 @@ func RowNnzCounts(src PatternSource) []int64 {
 		}
 		return counts
 	}
-	var buf []int32
-	for i := 0; i < rows; i++ {
-		buf = src.AppendRow(i, buf[:0])
-		counts[i] = int64(len(buf))
-	}
+	countRows(src, counts)
 	return counts
-}
-
-// CountNnz streams the pattern once and returns the total number of stored
-// entries.
-func CountNnz(src PatternSource) int64 {
-	rows, _ := src.Dims()
-	var total int64
-	var buf []int32
-	for i := 0; i < rows; i++ {
-		buf = src.AppendRow(i, buf[:0])
-		total += int64(len(buf))
-	}
-	return total
 }
 
 // Stats summarises structural properties of a sparse matrix

@@ -86,8 +86,7 @@ func (c *comm) Isend(dst, tag int, data []float64) (core.Request, error) {
 	if w.err != nil {
 		return nil, w.worldErr()
 	}
-	m := w.newMsg() //repro:alloc-ok transient sends are off the steady-state hot path
-	m.src, m.dst, m.tag = c.rank, dst, tag
+	m := w.newMsg(c.rank, dst, tag, w.channelOf(c.rank, dst, tag)) //repro:alloc-ok transient sends are off the steady-state hot path
 	m.n = len(data)
 	m.data = append(m.data[:0], data...)
 	m.wireB = wireBytes(m.n)
@@ -109,7 +108,7 @@ func (c *comm) Irecv(src, tag int, buf []float64) (core.Request, error) {
 	if w.err != nil {
 		return nil, w.worldErr()
 	}
-	p := &rpost{c: c, src: src, tag: tag, buf: buf, sig: w.sim.NewSignal()} //repro:alloc-ok transient receive
+	p := &rpost{c: c, ch: w.channelOf(src, c.rank, tag), src: src, tag: tag, buf: buf, sig: w.sim.NewSignal()} //repro:alloc-ok transient receive
 	p.queued = true
 	w.recv(p)
 	w.armRecvDeadline(p)
@@ -133,6 +132,7 @@ func (c *comm) Irecv(src, tag int, buf []float64) (core.Request, error) {
 //     large synchronous send.
 type psend struct {
 	c        *comm
+	ch       *channel
 	dst, tag int
 	buf      []float64
 	eager    bool
@@ -155,12 +155,11 @@ func (c *comm) SendInit(dst, tag int, buf []float64) (core.PersistentRequest, er
 	if dst < 0 || dst >= w.size {
 		return nil, &core.RankError{Op: "SendInit", Rank: dst, Size: w.size}
 	}
-	p := &psend{c: c, dst: dst, tag: tag, buf: buf}
+	p := &psend{c: c, ch: w.channelOf(c.rank, dst, tag), dst: dst, tag: tag, buf: buf}
 	p.eager = 8*len(buf) < w.eager
 	if !p.eager {
 		p.sig = w.sim.NewSignal()
-		m := w.newMsg()
-		m.src, m.dst, m.tag = c.rank, dst, tag
+		m := w.newMsg(c.rank, dst, tag, p.ch)
 		m.sendSig = p.sig
 		p.m = m
 	}
@@ -183,8 +182,7 @@ func (p *psend) Start() error {
 			p.pool = p.pool[:n-1]
 			m.matched, m.started, m.arrived, m.delivered = false, false, false, false
 		} else {
-			m = w.newMsg() //repro:alloc-ok pool warm-up; delivery refills it
-			m.src, m.dst, m.tag = c.rank, p.dst, p.tag
+			m = w.newMsg(c.rank, p.dst, p.tag, p.ch) //repro:alloc-ok pool warm-up; delivery refills it
 			m.owner = p
 			m.eager = true
 		}
@@ -194,11 +192,14 @@ func (p *psend) Start() error {
 		if w.err != nil {
 			return w.worldErr()
 		}
-		// The snapshot, taken once: into the receive that send just matched,
-		// else into the message until a receive turns up.
+		// The snapshot, taken once: into the receive that send just matched
+		// (nothing to move when that is the send buffer itself), else into
+		// the message until a receive turns up.
 		m.placed = m.post != nil
 		if m.placed {
-			copy(m.post.buf[:m.n], p.buf)
+			if !aliased(m.post.buf, p.buf) {
+				copy(m.post.buf[:m.n], p.buf)
+			}
 		} else {
 			m.data = append(m.data[:0], p.buf...)
 		}
@@ -263,7 +264,7 @@ func (c *comm) RecvInit(src, tag int, buf []float64) (core.PersistentRequest, er
 	if src < 0 || src >= w.size {
 		return nil, &core.RankError{Op: "RecvInit", Rank: src, Size: w.size}
 	}
-	return &precv{c: c, p: &rpost{c: c, src: src, tag: tag, buf: buf, sig: w.sim.NewSignal()}}, nil
+	return &precv{c: c, p: &rpost{c: c, ch: w.channelOf(src, c.rank, tag), src: src, tag: tag, buf: buf, sig: w.sim.NewSignal()}}, nil
 }
 
 func (r *precv) Start() error {

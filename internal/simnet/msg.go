@@ -53,26 +53,28 @@ func (q *queue[T]) pop() (T, bool) {
 //repro:noalloc
 func (q *queue[T]) len() int { return len(q.items) - q.head }
 
-// sq returns (creating on first use) the send queue of a channel.
-//
-//repro:noalloc
-func (w *world) sq(k ckey) *queue[*msg] {
-	if q, ok := w.sendQ[k]; ok {
-		return q
-	}
-	q := &queue[*msg]{} //repro:alloc-ok one queue per channel, cached forever
-	w.sendQ[k] = q      //repro:alloc-ok grow-once channel map
-	return q
+// channel is the matching state of one (src, dst, tag): messages sent and
+// not yet received, receives posted and not yet matched, and the route
+// between the two ranks' nodes. Persistent requests resolve theirs once, at
+// SendInit/RecvInit, and their messages carry it; only transient
+// Isend/Irecv look it up per call.
+type channel struct {
+	sends queue[*msg]
+	recvs queue[*rpost]
+	path  *pathEnt
 }
 
+// channelOf returns (creating on first use) the channel src→dst on tag.
+//
 //repro:noalloc
-func (w *world) rq(k ckey) *queue[*rpost] {
-	if q, ok := w.recvQ[k]; ok {
-		return q
+func (w *world) channelOf(src, dst, tag int) *channel {
+	k := ckey{src, dst, tag}
+	if ch, ok := w.chans[k]; ok {
+		return ch
 	}
-	q := &queue[*rpost]{} //repro:alloc-ok one queue per channel, cached forever
-	w.recvQ[k] = q        //repro:alloc-ok grow-once channel map
-	return q
+	ch := &channel{path: w.pathFor(src, dst)} //repro:alloc-ok one per channel, cached forever
+	w.chans[k] = ch                           //repro:alloc-ok grow-once channel map
+	return ch
 }
 
 // msg is one in-flight message. Transient Isends allocate one per call
@@ -96,8 +98,8 @@ type msg struct {
 	arrived   bool // payload has reached the receiver in virtual time
 	delivered bool
 
+	ch   *channel
 	post *rpost
-	path *pathEnt
 	flow *fluid.Flow
 
 	// sendSig, when non-nil (rendezvous persistent sends), fires at
@@ -108,9 +110,10 @@ type msg struct {
 	arriveFn    func() // resident: flow done → payload arrived
 }
 
-// newMsg wires the resident event closures.
-func (w *world) newMsg() *msg {
-	m := &msg{w: w}
+// newMsg builds a message on channel ch and wires its resident event
+// closures.
+func (w *world) newMsg(src, dst, tag int, ch *channel) *msg {
+	m := &msg{w: w, src: src, dst: dst, tag: tag, ch: ch}
 	m.flowStartFn = func() { w.flowStart(m) }
 	m.arriveFn = func() { w.arrive(m) }
 	return m
@@ -119,6 +122,7 @@ func (w *world) newMsg() *msg {
 // rpost is one posted receive: transient (Irecv) or resident (RecvInit).
 type rpost struct {
 	c        *comm
+	ch       *channel
 	src, tag int
 	buf      []float64
 	sig      *des.Signal
@@ -145,17 +149,15 @@ func wireBytes(n int) float64 { return 8*float64(n) + msgHeaderB }
 //repro:noalloc
 func (w *world) send(m *msg) {
 	w.stuck = 0 // a fresh post is real progress for the deadline backstop
-	m.path = w.pathFor(m.src, m.dst)
 	if m.eager {
 		m.started = true
-		w.sim.After(m.path.lat+w.extraLat(m.src), m.flowStartFn)
+		w.sim.After(m.ch.path.lat+w.extraLat(m.src), m.flowStartFn)
 	}
-	k := ckey{m.src, m.dst, m.tag}
-	if p, ok := w.rq(k).pop(); ok {
+	if p, ok := m.ch.recvs.pop(); ok {
 		w.match(m, p)
 		return
 	}
-	w.sq(k).push(m)
+	m.ch.sends.push(m)
 }
 
 // recv posts a receive: matches the oldest queued message on its channel
@@ -163,12 +165,11 @@ func (w *world) send(m *msg) {
 //
 //repro:noalloc
 func (w *world) recv(p *rpost) {
-	k := ckey{p.src, p.c.rank, p.tag}
-	if m, ok := w.sq(k).pop(); ok {
+	if m, ok := p.ch.sends.pop(); ok {
 		w.match(m, p)
 		return
 	}
-	w.rq(k).push(p)
+	p.ch.recvs.push(p)
 }
 
 // match pairs a message with a receive. Truncation is detected here —
@@ -214,7 +215,7 @@ func (w *world) tryStart(m *msg) {
 		return
 	}
 	m.started = true
-	w.sim.After(w.rdvLat+m.path.lat+w.extraLat(m.src), m.flowStartFn)
+	w.sim.After(w.rdvLat+m.ch.path.lat+w.extraLat(m.src), m.flowStartFn)
 }
 
 // extraLat is the injected gray-failure latency of a message's source at
@@ -237,7 +238,7 @@ func (w *world) extraLat(src int) float64 {
 //
 //repro:noalloc
 func (w *world) flowStart(m *msg) {
-	m.flow = w.sys.Start(m.wireB, m.path.res...)
+	m.flow = w.sys.Start(m.wireB, m.ch.path.res...)
 	m.flow.Done.OnFire(m.arriveFn)
 }
 
@@ -258,8 +259,8 @@ func (w *world) arrive(m *msg) {
 }
 
 // deliver copies the payload into the receive buffer — the bit-identity
-// half of the transport — unless Start already placed it there, and
-// completes both sides. Caller holds w.mu.
+// half of the transport — unless Start already placed it there or the two
+// are the same memory, and completes both sides. Caller holds w.mu.
 //
 //repro:noalloc
 func (w *world) deliver(m *msg) {
@@ -268,7 +269,7 @@ func (w *world) deliver(m *msg) {
 	}
 	m.delivered = true
 	p := m.post
-	if !m.placed {
+	if !m.placed && !aliased(p.buf, m.data) {
 		copy(p.buf[:m.n], m.data[:m.n])
 	}
 	p.n = m.n
@@ -279,4 +280,12 @@ func (w *world) deliver(m *msg) {
 	if m.owner != nil {
 		m.owner.recycleMsg(m)
 	}
+}
+
+// aliased reports whether a and b start at the same element, so that a
+// copy from one to the other would move nothing.
+//
+//repro:noalloc
+func aliased(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }

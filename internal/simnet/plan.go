@@ -282,10 +282,11 @@ func (p *proc) onComputeDone(fn func()) {
 
 // RunPoint simulates one strong-scaling point and returns its steady-state
 // performance. The halo exchange runs over real persistent core.Comm
-// channels (only structure matters here, so every channel slices one shared
-// zero source and one shared sink rather than owning a payload of its own),
-// compute phases are fluid flows on the LD memory buses with the byte
-// counts of the code-balance model:
+// channels (only structure matters here, so every send and every receive
+// slices one shared scratch buffer rather than owning a payload of its own;
+// a delivery from it into itself moves nothing), compute phases are fluid
+// flows on the LD memory buses with the byte counts of the code-balance
+// model:
 //
 //	full kernel:  nnz·(eb+κ) + rows·24        (Eq. 1 × 2·nnz)
 //	split local:  nnzLocal·(eb+κ) + rows·24
@@ -401,7 +402,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 			maxElems = max(maxElems, seg.Elems)
 		}
 	}
-	zeros, sink := make([]float64, maxElems), make([]float64, maxElems)
+	scratch := make([]float64, maxElems)
 
 	kappa := wl.Kappa
 	times := make([]float64, 2)
@@ -425,7 +426,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 			// the resident Workers of internal/core.
 			recvs := make([]core.PersistentRequest, len(wl.Recvs[r]))
 			for i, rx := range wl.Recvs[r] {
-				pc, err := c.RecvInit(rx.Peer, haloTag, sink[:rx.Elems])
+				pc, err := c.RecvInit(rx.Peer, haloTag, scratch[:rx.Elems])
 				if err != nil {
 					return err
 				}
@@ -433,7 +434,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 			}
 			sends := make([]core.PersistentRequest, len(wl.Sends[r]))
 			for i, tx := range wl.Sends[r] {
-				pc, err := c.SendInit(tx.Peer, haloTag, zeros[:tx.Elems])
+				pc, err := c.SendInit(tx.Peer, haloTag, scratch[:tx.Elems])
 				if err != nil {
 					return err
 				}

@@ -178,9 +178,7 @@ type world struct {
 	armedFloor   float64     // min live deadline (stale-low is safe)
 	stuck        int         // yielded pop attempts since last real progress
 
-	sendQ map[ckey]*queue[*msg]
-	recvQ map[ckey]*queue[*rpost]
-
+	chans     map[ckey]*channel
 	pathCache map[pathKey]*pathEnt
 
 	err error // first failure; write-once
@@ -240,8 +238,7 @@ func newWorld(cfg Config, size int, kills []Kill, slow []Slowdown, recvDeadline 
 		rdvLat:    spec.Net.Latency,
 		latency:   spec.Net.Latency,
 		linkBW:    spec.Net.LinkBW,
-		sendQ:     make(map[ckey]*queue[*msg]),
-		recvQ:     make(map[ckey]*queue[*rpost]),
+		chans:     make(map[ckey]*channel),
 		pathCache: make(map[pathKey]*pathEnt),
 	}
 	w.stages = math.Ceil(math.Log2(math.Max(float64(size), 2)))
@@ -476,8 +473,8 @@ func (w *world) handoff() {
 // core.Supervisor treats it as recoverable.
 func (w *world) deadlock() {
 	suspect, found := ckey{}, false
-	for k, q := range w.recvQ {
-		if q.len() == 0 {
+	for k, ch := range w.chans {
+		if ch.recvs.len() == 0 {
 			continue
 		}
 		if !found || k.less(suspect) {

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -571,4 +572,182 @@ func TestSessionRunPanicIsRecoverable(t *testing.T) {
 	}()
 	_ = s.Run()
 	t.Error("Session.Run returned past a panicking rank")
+}
+
+func TestTransientAndPersistentShareChannelFIFO(t *testing.T) {
+	// Persistent requests resolve their channel at Init, transient ones per
+	// call; both must land in the same queues, so messages on one (src,
+	// dst, tag) still match in posting order whichever kind carries them
+	// and whichever side posts first.
+	for _, n := range []int{4, 1 << 15} { // eager | rendezvous
+		for _, recvFirst := range []bool{true, false} {
+			s := session2(t)
+			const lag = 1e-3
+			pbuf := make([]float64, n)
+			got := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+			s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+				ps, err := c.SendInit(1, 5, pbuf)
+				if err != nil {
+					return err
+				}
+				if recvFirst {
+					p.Sleep(lag)
+				}
+				payload := func(v float64) []float64 {
+					b := make([]float64, n)
+					b[0], b[n-1] = v, -v
+					return b
+				}
+				r1, err := c.Isend(1, 5, payload(1))
+				if err != nil {
+					return err
+				}
+				pbuf[0], pbuf[n-1] = 2, -2
+				if err := ps.Start(); err != nil {
+					return err
+				}
+				r3, err := c.Isend(1, 5, payload(3))
+				if err != nil {
+					return err
+				}
+				if err := ps.Wait(); err != nil {
+					return err
+				}
+				return c.Waitall(r1, r3)
+			})
+			s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+				pr, err := c.RecvInit(0, 5, got[1])
+				if err != nil {
+					return err
+				}
+				if !recvFirst {
+					p.Sleep(lag)
+				}
+				r0, err := c.Irecv(0, 5, got[0])
+				if err != nil {
+					return err
+				}
+				if err := pr.Start(); err != nil {
+					return err
+				}
+				r2, err := c.Irecv(0, 5, got[2])
+				if err != nil {
+					return err
+				}
+				if err := pr.Wait(); err != nil {
+					return err
+				}
+				return c.Waitall(r0, r2)
+			})
+			if err := s.Run(); err != nil {
+				t.Fatalf("n=%d recvFirst=%v: %v", n, recvFirst, err)
+			}
+			for k, b := range got {
+				if want := float64(k + 1); b[0] != want || b[n-1] != -want {
+					t.Errorf("n=%d recvFirst=%v: receive %d got message %g/%g, want %g", n, recvFirst, k, b[0], b[n-1], want)
+				}
+			}
+		}
+	}
+}
+
+// persistentPair runs one persistent send of src from rank 0 into a
+// persistent receive of dst on rank 1. recvFirst selects which side posts
+// first: for an eager send, the snapshot goes straight into the posted
+// receive, else it is staged in the message. It returns the receive's
+// delivered element count.
+func persistentPair(t *testing.T, src, dst []float64, recvFirst bool) int {
+	t.Helper()
+	s := session2(t)
+	const lag = 1e-3
+	var pr core.PersistentRequest
+	s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+		ps, err := c.SendInit(1, 0, src)
+		if err != nil {
+			return err
+		}
+		if recvFirst {
+			p.Sleep(lag)
+		}
+		if err := ps.Start(); err != nil {
+			return err
+		}
+		return ps.Wait()
+	})
+	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+		var err error
+		if pr, err = c.RecvInit(0, 0, dst); err != nil {
+			return err
+		}
+		if !recvFirst {
+			p.Sleep(lag)
+		}
+		if err := pr.Start(); err != nil {
+			return err
+		}
+		return pr.Wait()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("len %d recvFirst=%v: %v", len(src), recvFirst, err)
+	}
+	return pr.(*precv).p.n
+}
+
+func TestAliasedReceiveCompletes(t *testing.T) {
+	// RunPoint binds every send and receive to one scratch buffer: a
+	// delivery from a buffer into itself moves nothing, yet completes with
+	// the message's length and leaves the bytes as they were.
+	for _, n := range []int{8, 1 << 15} { // eager | rendezvous
+		for _, recvFirst := range []bool{true, false} {
+			shared := make([]float64, n+3)
+			for i := range shared {
+				shared[i] = float64(i) + 0.25
+			}
+			if got := persistentPair(t, shared[:n], shared[:n+3], recvFirst); got != n {
+				t.Errorf("n=%d recvFirst=%v: delivered %d elements, want %d", n, recvFirst, got, n)
+			}
+			for i, v := range shared {
+				if v != float64(i)+0.25 {
+					t.Fatalf("n=%d recvFirst=%v: shared[%d] = %g after an aliased delivery", n, recvFirst, i, v)
+				}
+			}
+		}
+	}
+}
+
+func TestDistinctBuffersCopiedBitForBit(t *testing.T) {
+	// Skipping aliased copies must not skip real ones: eager placed, eager
+	// staged and rendezvous deliveries reproduce every bit of the payload —
+	// NaN payloads, signed zeros and subnormals included — and write nothing
+	// past the message.
+	special := []uint64{
+		0x7ff8000000000001, 0xfff4000000000abc, // NaNs with payloads
+		0x8000000000000000, 0x0000000000000001, // -0, the smallest subnormal
+		0x7ff0000000000000, 0x3ff0000000000001, // +Inf, 1 + ulp
+	}
+	for _, n := range []int{8, 1 << 15} { // eager | rendezvous
+		for _, recvFirst := range []bool{true, false} {
+			src := make([]float64, n)
+			for i := range src {
+				if i < len(special) {
+					src[i] = math.Float64frombits(special[i])
+				} else {
+					src[i] = math.Float64frombits(uint64(i)*0x9e3779b97f4a7c15 | 1)
+				}
+			}
+			dst := make([]float64, n+1)
+			dst[n] = 42
+			if got := persistentPair(t, src, dst, recvFirst); got != n {
+				t.Errorf("n=%d recvFirst=%v: delivered %d elements, want %d", n, recvFirst, got, n)
+			}
+			for i := range src {
+				if math.Float64bits(dst[i]) != math.Float64bits(src[i]) {
+					t.Fatalf("n=%d recvFirst=%v: element %d arrived as %#x, sent %#x", n, recvFirst, i, math.Float64bits(dst[i]), math.Float64bits(src[i]))
+				}
+			}
+			if dst[n] != 42 {
+				t.Errorf("n=%d recvFirst=%v: the element past the message was overwritten", n, recvFirst)
+			}
+		}
+	}
 }
