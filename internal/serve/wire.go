@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/f64le"
 )
 
 // The two body encodings of POST /v1/mul and /v1/solve. JSON is the
@@ -23,7 +24,13 @@ import (
 // meta is the OpRequest (request) or Response (response) marshalled as
 // JSON with its vector field left nil, so the structs stay the only
 // definition of the fields; the vector — X, Y — travels as raw IEEE-754
-// bits, non-finite values included.
+// bits, non-finite values included. Those bytes come from internal/f64le,
+// which tcpmpi's frames use too: on a little-endian host they are the
+// vector's own memory, so appendFrame appends a view of it and readFrame
+// reads the payload straight into the destination vector. The view needs
+// unsafe, so it is confined to that one package, chosen by the platform
+// alone, and tested bit for bit against the portable encode loop, which is
+// the big-endian path.
 const (
 	ContentTypeJSON = "application/json"
 	ContentTypeF64  = "application/x-spmv-f64"
@@ -38,9 +45,9 @@ const (
 	maxFrameElems = (maxBodyBytes - 8) / 8
 )
 
-// framePool recycles the byte buffers frames are staged in, on both sides
-// of the wire. A buffer is returned only after its bytes have been decoded
-// into a fresh []float64 or handed to a Write that has returned.
+// framePool recycles the byte buffers a frame's header is read into and a
+// response frame is assembled in. A buffer is returned only after its
+// bytes have been decoded or handed to a Write that has returned.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendFrame appends the frame of (meta, vec) to dst. meta must marshal
@@ -60,12 +67,7 @@ func appendFrame(dst []byte, meta any, vec []float64) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m)))
 	dst = append(dst, m...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vec)))
-	off := len(dst)
-	dst = dst[:off+8*len(vec)]
-	for i, v := range vec {
-		binary.LittleEndian.PutUint64(dst[off+8*i:], math.Float64bits(v))
-	}
-	return dst, nil
+	return append(dst, f64le.Bytes(vec)...), nil
 }
 
 // vecPool recycles the two row-count-sized vectors a binary op needs on the
@@ -100,8 +102,8 @@ func (p *vecPool) put(vp *[]float64) {
 // readFrame decodes exactly one frame from r: the JSON header into meta,
 // then the vector. vecFor, if not nil, sees the element count — with meta
 // already filled in — before anything of that size is allocated; its error
-// is returned as is, and a vector of that length it returns is decoded
-// into in place of a fresh one. Every structural defect (short frame,
+// is returned as is, and a vector of that length it returns is read into
+// in place of a fresh one. Every structural defect (short frame,
 // oversized or non-JSON meta, trailing bytes) is a *ValidationError.
 func readFrame(r io.Reader, meta any, vecFor func(n int) ([]float64, error)) ([]float64, error) {
 	bp := framePool.Get().(*[]byte)
@@ -136,14 +138,11 @@ func readFrame(r io.Reader, meta any, vecFor func(n int) ([]float64, error)) ([]
 		}
 	}
 	if n > 0 {
-		if buf, err = readInto(r, bp, 8*n, "payload"); err != nil {
-			return nil, err
-		}
 		if len(vec) != n {
 			vec = make([]float64, n)
 		}
-		for i := range vec {
-			vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		if err := f64le.ReadFull(r, vec); err != nil {
+			return nil, frameReadError("payload", err)
 		}
 	}
 	// The buffer has held the 4-byte header, so it has room for one byte.

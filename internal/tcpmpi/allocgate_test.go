@@ -14,8 +14,8 @@ import (
 // TestAllocGatePostedReceiveFastPath pins the posted-receive fast path of
 // the wire transport on a two-process loopback world (both endpoints in
 // this test process, real TCP in between): once a persistent receive is
-// posted, an arriving frame is decoded by the reader goroutine DIRECTLY
-// into the bound user buffer — no intermediate []float64, no per-message
+// posted, the reader goroutine reads an arriving frame's payload DIRECTLY
+// into the bound user buffer — no intermediate buffer, no per-message
 // request or carrier — so a steady-state ping round allocates nothing on
 // either endpoint. testing.AllocsPerRun counts mallocs process-wide, so
 // the sender's frame path and the receiver's reader goroutine are both
@@ -108,7 +108,7 @@ func TestAllocGatePostedReceiveFastPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the socket buffers, bufio scratch and mailbox capacities.
+	// Warm the socket buffers, the writev iovec cache and mailbox capacities.
 	for i := 0; i < 5; i++ {
 		round()
 	}

@@ -2,6 +2,7 @@ package tcpmpi_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,82 @@ import (
 	"repro/internal/solver"
 	"repro/internal/tcpmpi"
 )
+
+// haloElems is one rank's halo on HMeP Small at two ranks: the
+// hmep-mul-tcp workload's core.halo_elems_per_step (29,676) over its two
+// ranks.
+const haloElems = 14838
+
+// BenchmarkHaloExchangeTCP is one halo exchange per iteration on a tcp
+// pair on loopback: each rank starts one persistent receive and one
+// persistent send of haloElems float64s and waits for the receive — the
+// communication of one hmep-mul-tcp step without the kernel. GB/s counts
+// the payload bytes both ranks receive.
+func BenchmarkHaloExchangeTCP(b *testing.B) {
+	cs := comms(b, dialSplit(b, 2, [][2]int{{0, 1}, {1, 2}}), 2)
+	b.ReportAllocs()
+	if err := spmd(cs, func(c core.Comm) error {
+		peer := 1 - c.Rank()
+		out, in := make([]float64, haloElems), make([]float64, haloElems)
+		for i := range out {
+			out[i] = float64(c.Rank()*haloElems + i)
+		}
+		recv, err := c.RecvInit(peer, 0, in)
+		if err != nil {
+			return err
+		}
+		send, err := c.SendInit(peer, 0, out)
+		if err != nil {
+			return err
+		}
+		exchange := func() error {
+			if err := recv.Start(); err != nil {
+				return err
+			}
+			if err := send.Start(); err != nil {
+				return err
+			}
+			return recv.Wait()
+		}
+		// Outside the clock: one halo that arrives before its receive is
+		// posted (it is ahead of the peer's barrier frame on the same
+		// connection), which sizes the mailbox's carrier, then one
+		// exchange, then a barrier to line the ranks up.
+		if err := send.Start(); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if err := recv.Start(); err != nil {
+			return err
+		}
+		if err := recv.Wait(); err != nil {
+			return err
+		}
+		if err := exchange(); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if err := exchange(); err != nil {
+				return err
+			}
+		}
+		if in[haloElems-1] != float64(peer*haloElems+haloElems-1) {
+			return fmt.Errorf("rank %d: halo not delivered", c.Rank())
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(2*8*haloElems*b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+}
 
 // BenchmarkDistCGTransports is one CG iteration on Poisson Small at two
 // ranks of one thread in vector mode — a halo exchange, a kernel pass and

@@ -3,8 +3,10 @@ package tcpmpi_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -45,8 +47,8 @@ func fakeJoin(t *testing.T, addr string) net.Conn {
 }
 
 // dialCoordinator brings up the local endpoint of a 2-rank world whose
-// other process is the fake joiner.
-func dialCoordinator(t *testing.T, tr *tcpmpi.Transport) core.World {
+// other process is the fake joiner, and returns the joiner's connection.
+func dialCoordinator(t *testing.T, tr *tcpmpi.Transport) (core.World, net.Conn) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -63,7 +65,7 @@ func dialCoordinator(t *testing.T, tr *tcpmpi.Transport) core.World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
+	return w, fake
 }
 
 // TestHeartbeatDetectsSilentPeer pins the heartbeat detector: a peer that
@@ -78,7 +80,7 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  60 * time.Millisecond,
 	}
-	w := dialCoordinator(t, tr)
+	w, _ := dialCoordinator(t, tr)
 	defer w.Close()
 	c0, err := w.Comm(0)
 	if err != nil {
@@ -142,6 +144,52 @@ func TestCrashedPeerNamedInFrameReadError(t *testing.T) {
 	}
 	if pe.RankLo != 1 || pe.RankHi != 2 || pe.Phase != core.PhaseFrameRead {
 		t.Fatalf("suspect = [%d,%d) phase %q, want [1,2) %q", pe.RankLo, pe.RankHi, pe.Phase, core.PhaseFrameRead)
+	}
+}
+
+// TestForgedSourceRankFailsWorld: a peer process may only speak for the
+// ranks it owns. The fake joiner owns rank 1 and writes, on its raw
+// connection, a well-formed frame that claims to come from rank 0 — the
+// coordinator's own rank. The coordinator must not deliver it as rank 0's
+// message: the world fails with a frame-read *core.PeerError naming the
+// connection's process, ranks [1,2).
+func TestForgedSourceRankFailsWorld(t *testing.T) {
+	w, fake := dialCoordinator(t, &tcpmpi.Transport{Addr: freeAddr(t), Coordinate: true, RankLo: 0, RankHi: 1})
+	defer w.Close()
+	c0, err := w.Comm(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []float64{-1}
+	req, err := c0.Irecv(0, 5, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// count 1, kind user, src 0, dst 0, tag 5, payload 42.0
+	frame := binary.LittleEndian.AppendUint32(nil, 1)
+	frame = append(frame, 0)
+	for _, v := range []uint32{0, 0, 5} {
+		frame = binary.LittleEndian.AppendUint32(frame, v)
+	}
+	frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(42))
+	if _, err := fake.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+
+	werr := make(chan error, 1)
+	go func() { werr <- req.Wait() }()
+	select {
+	case err = <-werr:
+	case <-time.After(10 * time.Second):
+		t.Fatal("forged frame neither delivered nor rejected")
+	}
+	var pe *core.PeerError
+	if !errors.As(err, &pe) || pe.RankLo != 1 || pe.RankHi != 2 || pe.Phase != core.PhaseFrameRead {
+		t.Fatalf("got %v, want a frame-read *core.PeerError naming ranks [1,2)", err)
+	}
+	if buf[0] != -1 {
+		t.Fatalf("forged payload delivered: %v", buf[0])
 	}
 }
 
@@ -235,8 +283,8 @@ func TestHeartbeatKeepsQuietWorldAlive(t *testing.T) {
 }
 
 // TestHeartbeatAllocGate re-runs the steady-state alloc discipline with
-// heartbeats AND the collective deadline enabled: the ping path writes
-// through the connection's resident frame scratch, the liveness clocks
+// heartbeats AND the collective deadline enabled: a ping is one Write of
+// the connection's resident header, the liveness clocks
 // are two atomics, and the deadline timer is resident per communicator —
 // so a persistent send/recv round and a scalar reduction round must stay
 // at zero allocations even while the monitor ticks underneath.

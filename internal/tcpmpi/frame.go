@@ -5,11 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/f64le"
 )
 
 // Wire framing: every message between two processes is one length-prefixed
@@ -35,7 +36,14 @@ import (
 // last-heard clock). kindPong is the ping's echo, written by the reader
 // that consumed the ping; the originator stamps each ping it writes, so
 // the echo yields one round-trip latency sample per idle interval — the
-// raw material of slow-peer suspicion (see slow.go).
+// raw material of slow-peer suspicion (see slow.go). The control kinds
+// (bye, ping, pong) carry no payload; a reader rejects one that claims any.
+//
+// Neither side encodes or decodes a payload: on a little-endian host its
+// bytes are the float64s' own memory (internal/f64le), so the writer hands
+// the kernel the header and the caller's vector in one writev, and the
+// reader reads the payload straight into the receive that will own it (see
+// world.deliverFrame).
 const (
 	kindUser byte = 0
 	kindColl byte = 1
@@ -52,21 +60,21 @@ const maxFrameElems = 1 << 27
 
 // peerConn is one established connection to a peer process: a buffered
 // reader owned by the world's reader goroutine and a mutex-serialized
-// buffered writer shared by every local rank sending to that process.
+// writer shared by every local rank sending to that process.
 type peerConn struct {
 	c  net.Conn
 	br *bufio.Reader
-	// rscratch is the raw payload buffer and rhdr the header buffer, owned
-	// by the single reader goroutine and reused across frames; the mailbox
-	// decodes out of rscratch (into a posted receive's buffer or a
-	// recycled carrier) before the next frame is read, so nothing escapes
-	// and the steady-state read path allocates nothing.
-	rscratch []byte
-	rhdr     [frameHeaderLen]byte
+	// rhdr is the reader goroutine's resident header buffer.
+	rhdr [frameHeaderLen]byte
 
-	wmu     sync.Mutex
-	bw      *bufio.Writer
-	scratch []byte
+	// wmu serializes frames on the connection and guards the resident
+	// write state: the header, and the header + payload pair of one writev
+	// (wvec is its backing array; WriteTo consumes wbufs, so each frame
+	// re-slices it).
+	wmu   sync.Mutex
+	whdr  [frameHeaderLen]byte
+	wvec  [2][]byte
+	wbufs net.Buffers
 
 	// lastSent / lastHeard are UnixNano stamps of the most recent
 	// successful frame write / read on this connection, maintained
@@ -91,16 +99,18 @@ func newPeerConn(c net.Conn, br *bufio.Reader) *peerConn {
 	if br == nil {
 		br = bufio.NewReader(c)
 	}
-	p := &peerConn{c: c, br: br, bw: bufio.NewWriter(c)}
+	p := &peerConn{c: c, br: br}
 	now := time.Now().UnixNano()
 	p.lastSent.Store(now)
 	p.lastHeard.Store(now)
 	return p
 }
 
-// writeFrame sends one frame, flushing it onto the wire before returning —
-// buffered-send semantics: once writeFrame returns, the payload is owned
-// by the kernel's socket buffer and the caller may reuse data.
+// writeFrame sends one frame before returning — buffered-send semantics:
+// once writeFrame returns, the payload is in the kernel's socket buffer and
+// the caller may reuse data. A frame with a payload is one writev of the
+// header and the payload's wire bytes, which on a little-endian host are
+// data's own memory; a header-only frame is one Write.
 //
 //repro:noalloc
 func (p *peerConn) writeFrame(kind byte, src, dst, tag int, data []float64) error {
@@ -109,73 +119,56 @@ func (p *peerConn) writeFrame(kind byte, src, dst, tag int, data []float64) erro
 	}
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	need := frameHeaderLen + 8*len(data)
-	if cap(p.scratch) < need {
-		p.scratch = make([]byte, need) //repro:alloc-ok grow-once resident buffer
+	h := p.whdr[:]
+	binary.LittleEndian.PutUint32(h[0:], uint32(len(data)))
+	h[4] = kind
+	binary.LittleEndian.PutUint32(h[5:], uint32(int32(src)))
+	binary.LittleEndian.PutUint32(h[9:], uint32(int32(dst)))
+	binary.LittleEndian.PutUint32(h[13:], uint32(int32(tag)))
+	var err error
+	if len(data) == 0 {
+		_, err = p.c.Write(h)
+	} else {
+		p.wvec[0], p.wvec[1] = h, f64le.Bytes(data)
+		p.wbufs = p.wvec[:]
+		_, err = p.wbufs.WriteTo(p.c)
 	}
-	b := p.scratch[:need]
-	binary.LittleEndian.PutUint32(b[0:], uint32(len(data)))
-	b[4] = kind
-	binary.LittleEndian.PutUint32(b[5:], uint32(int32(src)))
-	binary.LittleEndian.PutUint32(b[9:], uint32(int32(dst)))
-	binary.LittleEndian.PutUint32(b[13:], uint32(int32(tag)))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(b[frameHeaderLen+8*i:], math.Float64bits(v))
-	}
-	if _, err := p.bw.Write(b); err != nil {
-		return err
-	}
-	if err := p.bw.Flush(); err != nil {
+	if err != nil {
 		return err
 	}
 	p.lastSent.Store(time.Now().UnixNano())
 	return nil
 }
 
-// readFrame reads one frame from the peer into the connection's resident
-// raw byte buffer and returns it UNDECODED. The reader goroutine passes
-// the raw payload to the mailbox, which decodes it directly into a posted
-// receive's user buffer when one is waiting (the posted-receive fast path
-// — zero allocations per frame) or into a recycled buffered-arrival
-// carrier otherwise. raw is valid until the next readFrame (readFrame is
-// only called from the connection's single reader goroutine).
+// readFrame reads and checks one frame header from the peer; the payload,
+// count float64s, is still on the wire when it returns. The reader
+// goroutine reads it straight into the receive that will own it (see
+// world.deliverFrame). Only the connection's single reader goroutine calls
+// readFrame.
 //
 //repro:noalloc
-func (p *peerConn) readFrame() (kind byte, src, dst, tag int, raw []byte, err error) {
+func (p *peerConn) readFrame() (kind byte, src, dst, tag, count int, err error) {
 	hdr := p.rhdr[:]
 	if _, err = io.ReadFull(p.br, hdr); err != nil {
 		return
 	}
-	count := binary.LittleEndian.Uint32(hdr[0:])
+	n := binary.LittleEndian.Uint32(hdr[0:])
 	kind = hdr[4]
 	src = int(int32(binary.LittleEndian.Uint32(hdr[5:])))
 	dst = int(int32(binary.LittleEndian.Uint32(hdr[9:])))
 	tag = int(int32(binary.LittleEndian.Uint32(hdr[13:])))
-	if count > maxFrameElems {
-		err = fmt.Errorf("tcpmpi: frame length prefix %d exceeds the %d-element cap", count, maxFrameElems)
+	if n > maxFrameElems {
+		err = fmt.Errorf("tcpmpi: frame length prefix %d exceeds the %d-element cap", n, maxFrameElems)
 		return
 	}
 	if kind > kindPong {
 		err = fmt.Errorf("tcpmpi: unknown frame kind %d", kind)
 		return
 	}
-	if count == 0 {
+	if kind >= kindBye && n != 0 {
+		err = fmt.Errorf("tcpmpi: control frame of kind %d claims a %d-element payload", kind, n)
 		return
 	}
-	if cap(p.rscratch) < int(8*count) {
-		p.rscratch = make([]byte, 8*count) //repro:alloc-ok grow-once resident buffer
-	}
-	raw = p.rscratch[:8*count]
-	_, err = io.ReadFull(p.br, raw)
+	count = int(n)
 	return
-}
-
-// decodeInto decodes a raw little-endian float64 payload into dst, which
-// must hold exactly len(raw)/8 elements.
-//
-//repro:noalloc
-func decodeInto(dst []float64, raw []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
 }

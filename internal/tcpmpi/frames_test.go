@@ -3,6 +3,7 @@ package tcpmpi
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -13,17 +14,80 @@ import (
 	"repro/internal/core"
 )
 
-// countingWriter counts the Writes that reach a connection. writeFrame
-// flushes once per frame, so for frames that fit the buffer one Write is
-// one frame.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
+// frameCounter counts the frames that pass through a connection's read
+// side: it follows the byte stream header by header (17 bytes, then the
+// payload the header's count claims), however the reads happen to split
+// it. Only the connection's reader goroutine calls Read.
+type frameCounter struct {
+	r      io.Reader
+	frames atomic.Int64
+	hdr    []byte // the part of the current header read so far
+	skip   int    // payload bytes of the current frame still to come
 }
 
-func (c countingWriter) Write(b []byte) (int, error) {
-	c.n.Add(1)
-	return c.w.Write(b)
+func (c *frameCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	for b := p[:n]; len(b) > 0; {
+		if c.skip > 0 {
+			k := min(c.skip, len(b))
+			c.skip, b = c.skip-k, b[k:]
+			continue
+		}
+		k := min(frameHeaderLen-len(c.hdr), len(b))
+		c.hdr, b = append(c.hdr, b[:k]...), b[k:]
+		if len(c.hdr) == frameHeaderLen {
+			c.frames.Add(1)
+			c.skip = 8 * int(binary.LittleEndian.Uint32(c.hdr))
+			c.hdr = c.hdr[:0]
+		}
+	}
+	return n, err
+}
+
+// tcpConnPair returns the two ends of one loopback TCP connection.
+func tcpConnPair(t *testing.T) [2]net.Conn {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	c0, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := <-accepted
+	if c1 == nil {
+		t.Fatal("accept failed")
+	}
+	return [2]net.Conn{c0, c1}
+}
+
+// linkWorlds builds the two endpoints of a two-rank world, one rank each,
+// on the two ends of conns, with each endpoint's reader counting the
+// frames it reads into counters[i].
+func linkWorlds(t *testing.T, conns [2]net.Conn, counters *[2]frameCounter) [2]*world {
+	t.Helper()
+	procs := []procInfo{{RankLo: 0, RankHi: 1}, {RankLo: 1, RankHi: 2}}
+	var out [2]*world
+	for i := range out {
+		w, err := newWorld(2, i, i+1, procs, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters[i].r = conns[i]
+		p := newPeerConn(conns[i], bufio.NewReader(&counters[i]))
+		w.conns[1-i] = p
+		go w.readLoop(1-i, p)
+		t.Cleanup(func() { w.Close() })
+		out[i] = w
+	}
+	return out
 }
 
 // dialPair brings up both endpoints of a two-rank loopback world inside
@@ -67,18 +131,15 @@ func dialPair(t *testing.T, mutate func(tr *Transport)) [2]*world {
 
 // At two ranks a scalar allreduce is one dissemination round: each rank
 // writes exactly one frame, where the tree wrote a gather frame one way
-// and a broadcast frame the other, in series.
+// and a broadcast frame the other, in series. The frames are counted
+// where the peer reads them.
 func TestScalarAllreduceAtTwoRanksWritesOneFramePerRank(t *testing.T) {
-	worlds := dialPair(t, nil)
+	var read [2]frameCounter
+	worlds := linkWorlds(t, tcpConnPair(t), &read)
 	var wg sync.WaitGroup
 	var errs [2]error
-	var frames [2]atomic.Int64
 	var comms [2]core.Comm
 	for i, w := range worlds {
-		p := w.conns[1-i]
-		p.wmu.Lock()
-		p.bw = bufio.NewWriter(countingWriter{p.c, &frames[i]})
-		p.wmu.Unlock()
 		var err error
 		if comms[i], err = w.Comm(i); err != nil {
 			t.Fatal(err)
@@ -98,11 +159,13 @@ func TestScalarAllreduceAtTwoRanksWritesOneFramePerRank(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := range frames {
+	for i := range read {
 		if errs[i] != nil {
 			t.Fatalf("rank %d: %v", i, errs[i])
 		}
-		if got := frames[i].Load(); got != rounds {
+		// The last round's frame is read before the peer's allreduce
+		// returns, so the counts are final here.
+		if got := read[1-i].frames.Load(); got != rounds {
 			t.Errorf("rank %d wrote %d frames in %d scalar allreduces, want one each", i, got, rounds)
 		}
 	}

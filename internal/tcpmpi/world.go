@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chanmpi"
 	"repro/internal/core"
+	"repro/internal/f64le"
 )
 
 // ErrWorldClosed is the failure cause recorded when a world is shut down
@@ -159,7 +161,7 @@ func (w *world) Comm(rank int) (core.Comm, error) {
 	return &comm{w: w, rank: rank}, nil
 }
 
-// Close shuts the endpoint down gracefully: a BYE frame is flushed to
+// Close shuts the endpoint down gracefully: a BYE frame is written to
 // every peer — the last bytes this process writes, so the peers' readers
 // see the departure announcement before the EOF and treat it as a clean
 // exit rather than a world failure — then the local world is failed with
@@ -255,57 +257,72 @@ func (w *world) departedErr(src int) error {
 	return fmt.Errorf("tcpmpi: the process owning rank %d closed its world before the message arrived", src)
 }
 
-// readLoop drains one peer connection, delivering each frame into the
-// destination rank's mailbox. A BYE frame marks the peer gracefully
-// departed (the connection's EOF is then expected); any other read error
-// fails the world — unless this endpoint is itself closing — with a
-// *core.PeerError naming the peer's rank range as the suspect, so a
-// crashed process (EOF without BYE) is pinpointed rather than reported as
-// an anonymous connection loss. Payloads are decoded straight out of the
-// connection's raw buffer: into a posted receive's user buffer when one
-// is waiting (zero allocations per frame), into a recycled carrier
-// otherwise.
+// readLoop drains one peer connection, filing each frame into the
+// destination rank's mailbox, until a read fails or the peer misbehaves.
+// A BYE frame marks the peer gracefully departed (the connection's EOF is
+// then expected), so its error is not reported; any other error fails the
+// world — unless this endpoint is itself closing.
 func (w *world) readLoop(proc int, p *peerConn) {
 	for {
-		kind, src, dst, tag, raw, err := p.readFrame()
-		if err != nil {
+		if err := w.receiveFrame(proc, p); err != nil {
 			if !w.closing.Load() && !w.departed[proc].Load() {
-				pi := w.procs[proc]
-				w.failWorld(&core.PeerError{
-					RankLo: pi.RankLo, RankHi: pi.RankHi, Phase: core.PhaseFrameRead,
-					Err: fmt.Errorf("tcpmpi: peer connection lost: %w", err),
-				})
+				w.failWorld(err)
 			}
 			return
 		}
-		now := time.Now().UnixNano()
-		p.lastHeard.Store(now)
-		if kind == kindPing {
-			// Echo so the originator gets a round-trip sample; best effort —
-			// a write error here means the connection is dying, which the
-			// next read reports with the real cause.
-			p.writeFrame(kindPong, 0, 0, 0, nil)
-			continue
+	}
+}
+
+// receiveFrame reads one frame from process proc's connection and acts on
+// it. A failed read, a malformed header, and a frame whose source rank
+// proc does not own or whose destination is not local are all a
+// *core.PeerError naming proc's rank range in the frame-read phase, so a
+// crashed process (EOF without BYE) or a corrupt one is pinpointed rather
+// than reported as an anonymous connection loss. A payload too long for
+// the receive it matched is a *core.TruncationError.
+//
+//repro:noalloc
+func (w *world) receiveFrame(proc int, p *peerConn) error {
+	kind, src, dst, tag, count, err := p.readFrame()
+	if err != nil {
+		return w.lostPeer(proc, err)
+	}
+	now := time.Now().UnixNano()
+	p.lastHeard.Store(now)
+	pi := w.procs[proc]
+	switch kind {
+	case kindPing:
+		// Echo so the originator gets a round-trip sample; best effort — a
+		// write error here means the connection is dying, which the next
+		// read reports with the real cause.
+		p.writeFrame(kindPong, 0, 0, 0, nil)
+		return nil
+	case kindPong:
+		if sent := p.pingSentNs.Swap(0); sent != 0 {
+			w.observeLinkLatency(proc, pi.RankLo, pi.RankHi, "ping round-trip", &p.rtt, time.Duration(now-sent))
 		}
-		if kind == kindPong {
-			if sent := p.pingSentNs.Swap(0); sent != 0 {
-				pi := w.procs[proc]
-				w.observeLinkLatency(proc, pi.RankLo, pi.RankHi, "ping round-trip", &p.rtt, time.Duration(now-sent))
-			}
-			continue
+		return nil
+	case kindBye:
+		w.markDeparted(proc)
+		return nil // EOF follows
+	}
+	if src < pi.RankLo || src >= pi.RankHi || dst < w.lo || dst >= w.hi {
+		return &core.PeerError{
+			RankLo: pi.RankLo, RankHi: pi.RankHi, Phase: core.PhaseFrameRead,
+			Err: fmt.Errorf("tcpmpi: process %d sent a frame addressed %d→%d; it owns ranks [%d,%d), this process [%d,%d)",
+				proc, src, dst, pi.RankLo, pi.RankHi, w.lo, w.hi),
 		}
-		if kind == kindBye {
-			w.markDeparted(proc)
-			continue // EOF follows
-		}
-		if src < 0 || src >= w.size || dst < w.lo || dst >= w.hi {
-			w.failWorld(fmt.Errorf("tcpmpi: frame addressed %d→%d outside this process's ranks [%d,%d)", src, dst, w.lo, w.hi))
-			return
-		}
-		if err := w.deliverRaw(kind == kindColl, src, dst, tag, raw); err != nil {
-			w.failWorld(err)
-			return
-		}
+	}
+	return w.deliverFrame(proc, p, kind == kindColl, src, dst, tag, count)
+}
+
+// lostPeer names process proc as the suspect of a failed or malformed read
+// on its connection.
+func (w *world) lostPeer(proc int, err error) error {
+	pi := w.procs[proc]
+	return &core.PeerError{
+		RankLo: pi.RankLo, RankHi: pi.RankHi, Phase: core.PhaseFrameRead,
+		Err: fmt.Errorf("tcpmpi: peer connection lost: %w", err),
 	}
 }
 
@@ -461,37 +478,46 @@ func (r *request) failWith(err error) {
 	r.signalDone()
 }
 
-// complete copies data into the request buffer and completes it, recording
-// a truncation error if the message does not fit. Callers hold the mailbox
-// lock and must release it before failing the world on the returned error.
+// truncation returns the *core.TruncationError of an n-element message
+// that does not fit the request buffer, or nil if it fits.
+func (r *request) truncation(n int) error {
+	if n > len(r.buf) {
+		return &core.TruncationError{Len: n, Cap: len(r.buf), Src: r.src, Tag: r.tag}
+	}
+	return nil
+}
+
+// finish completes the request with the n elements now in its buffer.
+// Callers hold the mailbox lock.
+func (r *request) finish(n int) {
+	r.n = n
+	r.matched = true
+	r.signalDone()
+}
+
+// complete copies data into the request buffer and completes it, or —
+// if data does not fit — fails it with a *core.TruncationError, leaving the
+// buffer untouched, and returns that error. Callers hold the mailbox lock
+// and must release it before failing the world on the returned error.
 func (r *request) complete(data []float64) error {
-	if len(data) > len(r.buf) {
-		err := &core.TruncationError{Len: len(data), Cap: len(r.buf), Src: r.src, Tag: r.tag}
+	if err := r.truncation(len(data)); err != nil {
 		r.failWith(err)
 		return err
 	}
 	copy(r.buf, data)
-	r.n = len(data)
-	r.matched = true
-	r.signalDone()
+	r.finish(len(data))
 	return nil
 }
 
-// completeRaw decodes a raw wire payload directly into the request buffer
-// — the posted-receive fast path: no intermediate []float64 exists at any
-// point. Callers hold the mailbox lock.
-func (r *request) completeRaw(raw []byte) error {
-	n := len(raw) / 8
-	if n > len(r.buf) {
-		err := &core.TruncationError{Len: n, Cap: len(r.buf), Src: r.src, Tag: r.tag}
-		r.failWith(err)
-		return err
+// matchLocked returns the index in recvs of the earliest posted receive
+// matching (src, tag, coll), or -1. Callers hold the mailbox lock.
+func (b *mailbox) matchLocked(src, tag int, coll bool) int {
+	for i, rr := range b.recvs {
+		if !rr.matched && rr.src == src && rr.tag == tag && rr.coll == coll {
+			return i
+		}
 	}
-	decodeInto(r.buf[:n], raw)
-	r.n = n
-	r.matched = true
-	r.signalDone()
-	return nil
+	return -1
 }
 
 func (b *mailbox) compactLocked() {
@@ -511,29 +537,65 @@ func (b *mailbox) compactLocked() {
 	b.sends = sends
 }
 
-// deliverRaw files a frame payload straight off the wire: decoded into the
-// earliest matching posted receive's user buffer when one is waiting (the
-// fast path — the frame never materializes as a separate slice), decoded
-// into a recycled carrier and buffered otherwise. raw is only borrowed;
-// ownership stays with the reader goroutine.
-func (w *world) deliverRaw(coll bool, src, dst, tag int, raw []byte) error {
+// deliverFrame reads a frame's n-element payload off p straight into the
+// memory that will own it. Under the mailbox lock it claims the earliest
+// matching posted receive — the fast path, no copy but the kernel's — or,
+// with none posted, takes a recycled carrier; it reads with the lock
+// released, then completes the receive or files the carrier. A claimed
+// receive is off the queue but unmatched while its read runs, so no other
+// frame can match it and Start refuses to restart it (it is in flight);
+// if the read fails, the receive fails with the world's PeerError. A
+// receive posted while a carrier was being filled is matched when the
+// carrier is filed, which keeps per-(src, tag, kind) FIFO order: frames
+// from src arrive on this connection alone, read by this goroutine alone.
+// Truncation is judged from the header's count before any payload byte is
+// read.
+//
+//repro:noalloc
+func (w *world) deliverFrame(proc int, p *peerConn, coll bool, src, dst, tag, n int) error {
 	box := w.boxes[dst-w.lo]
 	box.mu.Lock()
-	for _, rr := range box.recvs {
-		if rr.matched || rr.src != src || rr.tag != tag || rr.coll != coll {
-			continue
+	if i := box.matchLocked(src, tag, coll); i >= 0 {
+		rr := box.recvs[i]
+		box.recvs = slices.Delete(box.recvs, i, i+1)
+		if err := rr.truncation(n); err != nil {
+			// The world fails before the receive does, so its Wait cannot
+			// report the truncation while the world still looks healthy.
+			w.failure.fail(err)
+			rr.failWith(err)
+			box.mu.Unlock()
+			return err
 		}
-		err := rr.completeRaw(raw)
-		box.compactLocked()
+		box.mu.Unlock()
+		err := f64le.ReadFull(p.br, rr.buf[:n])
+		box.mu.Lock()
+		if err != nil {
+			err = w.lostPeer(proc, err)
+			w.failure.fail(err)
+			rr.failWith(err)
+		} else {
+			rr.finish(n)
+		}
 		box.mu.Unlock()
 		return err
 	}
-	m := box.getCarrierLocked(len(raw) / 8)
-	m.src, m.tag, m.coll = src, tag, coll
-	decodeInto(m.data, raw)
-	box.sends = append(box.sends, m)
+	m := box.getCarrierLocked(n)
 	box.mu.Unlock()
-	return nil
+	if err := f64le.ReadFull(p.br, m.data); err != nil {
+		return w.lostPeer(proc, err)
+	}
+	m.src, m.tag, m.coll = src, tag, coll
+	var err error
+	box.mu.Lock()
+	if i := box.matchLocked(src, tag, coll); i >= 0 {
+		err = box.recvs[i].complete(m.data)
+		box.putCarrierLocked(m)
+		box.compactLocked()
+	} else {
+		box.sends = append(box.sends, m) //repro:alloc-ok grows to the high-water count of buffered arrivals
+	}
+	box.mu.Unlock()
+	return err
 }
 
 // deliverLocal files a local rank-to-rank send: copied into the earliest
@@ -543,11 +605,8 @@ func (w *world) deliverRaw(coll bool, src, dst, tag int, raw []byte) error {
 func (w *world) deliverLocal(coll bool, src, dst, tag int, data []float64, stage *inflight) error {
 	box := w.boxes[dst-w.lo]
 	box.mu.Lock()
-	for _, rr := range box.recvs {
-		if rr.matched || rr.src != src || rr.tag != tag || rr.coll != coll {
-			continue
-		}
-		err := rr.complete(data)
+	if i := box.matchLocked(src, tag, coll); i >= 0 {
+		err := box.recvs[i].complete(data)
 		box.compactLocked()
 		box.mu.Unlock()
 		return err
@@ -714,8 +773,8 @@ func (c *comm) Irecv(src, tag int, buf []float64) (core.Request, error) {
 // request — token-completed, so restartable — re-posted into the rank's
 // mailbox by each Start. Combined with the reader goroutine's
 // posted-receive fast path, a started persistent receive means an arriving
-// frame decodes straight into the bound user buffer: zero allocations per
-// message on either side.
+// frame's payload is read straight into the bound user buffer: zero
+// allocations per message on either side.
 type precv struct {
 	w    *world
 	rank int
@@ -766,9 +825,10 @@ func (p *precv) startInto(buf []float64) error {
 	box := p.w.boxes[p.rank-p.w.lo]
 	box.mu.Lock()
 	if r.queued && !r.matched {
-		// A request left queued by a world failure is restartable once the
-		// failure is the reported cause; only a healthy in-flight restart
-		// is a usage error.
+		// Queued and unmatched: posted, or claimed by a reader goroutine
+		// that is reading a payload into buf. A request left queued by a
+		// world failure reports the failure; only a healthy in-flight
+		// restart is a usage error.
 		if err := p.w.failure.Err(); err != nil {
 			box.mu.Unlock()
 			return &core.WorldError{Cause: err}
@@ -791,8 +851,8 @@ func (p *precv) startInto(buf []float64) error {
 func (p *precv) Wait() error { return p.req.Wait() }
 
 // psend is a persistent send channel (MPI_Send_init): each Start transmits
-// the current contents of the bound buffer. Remote destinations go through
-// the connection's resident frame scratch; a local destination delivers
+// the current contents of the bound buffer. A remote destination gets one
+// writev of the buffer's own bytes; a local destination delivers
 // directly into a posted receive or buffers through the request's resident
 // staging carrier — no per-message allocation on any path.
 type psend struct {
