@@ -59,7 +59,12 @@
 // is the real multi-process TCP backend — rendezvous by address, rank
 // ranges per process, length-prefixed binary frames, dissemination
 // collectives (⌈log₂P⌉ one-way rounds) with canonical rank-order combining
-// on every rank (see internal/tcpmpi/README.md).
+// on every rank (see internal/tcpmpi/README.md). Both real-time
+// transports match messages in one engine: tcpmpi holds its local ranks in
+// a chanmpi range world and files every local send and every wire frame
+// into chanmpi's mailboxes, so matching order, buffering, truncation and
+// failure are one implementation (the point-to-point conformance table,
+// TestConformanceP2P in internal/tcpmpi, runs the same cases on both).
 // Reductions combine in canonical rank order on every transport, so
 // distributed solves are bit-reproducible across runs AND across
 // transports: cmd/spmv-worker joins a world by address + rank range, and
@@ -122,10 +127,11 @@
 // step hands nothing to another goroutine). Task mode launches its compiled
 // regions on the pool (Team.Start) and Joins after the halo wait — the rank
 // goroutine is the resident communication thread; no goroutine is spawned
-// per step. On the wire transport, tcpmpi's reader goroutine decodes
-// arriving frames DIRECTLY into a posted receive's user buffer (no
-// intermediate slice; unposted arrivals go through recycled carriers), and
-// the collectives run on resident per-communicator scratch.
+// per step. On the wire transport, tcpmpi's reader goroutine reads
+// arriving frames DIRECTLY into a posted receive's user buffer, claimed
+// from chanmpi's mailbox (no intermediate slice; unposted arrivals go
+// through the mailbox's recycled carriers, as unmatched local sends do),
+// and the collectives run on resident per-communicator scratch.
 //
 // Two contract changes pay for this: Allreduce/AllgatherInt64 results are
 // resident buffers, read-only and valid only until the rank's NEXT

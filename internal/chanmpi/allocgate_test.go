@@ -122,6 +122,48 @@ func TestAllocGateHaloExchangeUnmatchedSend(t *testing.T) {
 	}
 }
 
+// TestAllocGateUnmatchedIsend covers a one-shot Isend that finds no posted
+// receive: the payload is buffered through the destination mailbox's
+// recycled carriers and the returned request is a zero-size value, so once
+// the carriers are warm the send allocates nothing. A persistent receive
+// drains each message.
+func TestAllocGateUnmatchedIsend(t *testing.T) {
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c0, _ := w.Comm(0)
+	c1, _ := w.Comm(1)
+	for _, n := range []int{1, 14838} { // one scalar; one HMeP Small halo
+		out := make([]float64, n)
+		in := make([]float64, n)
+		recv, err := c1.RecvInit(0, 5, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			out[n-1]++
+			if _, err := c0.Isend(1, 5, out); err != nil { // buffers into a carrier
+				t.Fatal(err)
+			}
+			if err := recv.Start(); err != nil { // matches the buffered message
+				t.Fatal(err)
+			}
+			if err := recv.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Fatalf("%d-element unmatched Isend allocates %.1f objects per round, want 0", n, allocs)
+		}
+		if in[n-1] != out[n-1] {
+			t.Fatalf("%d-element Isend delivered %v, want %v", n, in[n-1], out[n-1])
+		}
+	}
+}
+
 // TestAllocGateScalarAllreduce pins the scalar reduction — the per-
 // iteration dot products of the distributed solvers — at zero steady-state
 // allocations per round on a multi-rank world.

@@ -1,10 +1,20 @@
-// Package chanmpi is an in-process message-passing runtime with MPI-like
-// semantics: a fixed set of ranks (goroutines), nonblocking point-to-point
-// sends and receives matched by (source, tag) in posting order, persistent
-// communication channels (SendInit/RecvInit, the MPI_Send_init/Recv_init
-// analogue — see persistent.go) whose steady-state Start/Wait cycle
-// allocates nothing, and the collectives the distributed SpMV needs
-// (Barrier, Allreduce, Allgather) on resident buffers.
+// Package chanmpi is the message-matching engine of every real-time
+// transport, and the in-process runtime built on it: a fixed set of ranks
+// with MPI-like semantics — nonblocking point-to-point sends and receives
+// matched by (source, tag) in posting order, persistent communication
+// channels (SendInit/RecvInit, the MPI_Send_init/Recv_init analogue — see
+// persistent.go) whose steady-state Start/Wait cycle allocates nothing,
+// and the collectives the distributed SpMV needs (Barrier, Allreduce,
+// Allgather) on resident buffers.
+//
+// A World from NewWorld holds every rank in this process. One from
+// NewRangeWorld holds a contiguous range of them and is the local half of
+// a multi-process transport (internal/tcpmpi): sends to other ranks go to
+// the transport's Link, and the transport files what arrives off its wire
+// with Claim (see transport.go). Either way every delivery, local or from
+// a wire, goes through the one mailbox per local rank in this file, so
+// matching order, buffering, truncation and failure are the same on every
+// real-time transport.
 //
 // It is the functional substitute for MPI in this reproduction: the
 // distributed kernels in internal/core run unchanged on top of it and are
@@ -24,13 +34,20 @@ package chanmpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// World owns the shared state of a set of communicating ranks.
+// World owns the shared state of a set of communicating ranks: the
+// mailboxes of the ranks it holds, [lo, hi), and the Link to the rest.
 type World struct {
 	size     int
-	boxes    []*mailbox
+	lo, hi   int
+	link     Link          // carries sends to ranks outside [lo, hi); nil when every rank is local
+	boxes    []*mailbox    // local rank r → boxes[r-lo]
+	departed []atomic.Bool // by rank: its process has left the world (see Depart)
 	barrier  *barrier
 	reducer  *reducer
 	gatherer *gatherer
@@ -40,9 +57,10 @@ type World struct {
 // failure is the write-once failure state of a world. The first fail wins;
 // its cause is what every subsequent or interrupted operation reports.
 type failure struct {
-	mu  sync.Mutex
-	err error
-	ch  chan struct{} // closed on first failure; selected on by blocked waits
+	mu     sync.Mutex
+	err    error
+	failed atomic.Bool   // set once err is; lets a healthy Err skip the lock
+	ch     chan struct{} // closed on first failure; selected on by blocked waits
 }
 
 func (f *failure) fail(err error) {
@@ -50,25 +68,50 @@ func (f *failure) fail(err error) {
 	defer f.mu.Unlock()
 	if f.err == nil {
 		f.err = err
+		f.failed.Store(true)
 		close(f.ch)
 	}
 }
 
 // Err returns the first failure, or nil while the world is healthy.
 func (f *failure) Err() error {
+	if !f.failed.Load() {
+		return nil
+	}
+	return f.cause()
+}
+
+func (f *failure) cause() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.err
 }
 
-// NewWorld creates a world with the given number of ranks.
+// NewWorld creates a world with the given number of ranks, all of them
+// local.
 func NewWorld(size int) (*World, error) {
+	return NewRangeWorld(size, 0, size, nil)
+}
+
+// NewRangeWorld creates the part of a world of size ranks that this
+// process holds, ranks [lo, hi); link carries everything sent to the other
+// ranks (see transport.go). The shared-memory collectives (Barrier,
+// Allreduce, AllgatherInt64) and Run need every rank in one World: the
+// transport behind a range world runs its own collectives.
+func NewRangeWorld(size, lo, hi int, link Link) (*World, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("chanmpi: world size %d < 1", size)
 	}
+	if lo < 0 || hi <= lo || hi > size {
+		return nil, fmt.Errorf("chanmpi: local ranks [%d,%d) invalid for world size %d", lo, hi, size)
+	}
 	w := &World{
 		size:     size,
-		boxes:    make([]*mailbox, size),
+		lo:       lo,
+		hi:       hi,
+		link:     link,
+		boxes:    make([]*mailbox, hi-lo),
+		departed: make([]atomic.Bool, size),
 		barrier:  newBarrier(size),
 		reducer:  newReducer(size),
 		gatherer: newGatherer(size),
@@ -88,7 +131,8 @@ func (w *World) Err() error { return w.failure.Err() }
 
 // Fail poisons the world with the given cause: every blocked operation
 // wakes with a *WorldError and every subsequent operation returns one.
-// The first cause wins; later calls are no-ops.
+// The first cause wins; later calls are no-ops, except that the Link, if
+// any, is aborted on every call.
 func (w *World) Fail(err error) {
 	w.failure.fail(err)
 	// Wake collective waiters. Broadcasting under each collective's lock
@@ -105,6 +149,9 @@ func (w *World) Fail(err error) {
 	w.gatherer.cond.Broadcast()
 	w.gatherer.mu.Unlock()
 	// Point-to-point waiters select on failure.ch directly.
+	if w.link != nil {
+		w.link.Abort()
+	}
 }
 
 // Close fails the world with ErrWorldClosed, releasing anything still
@@ -114,9 +161,9 @@ func (w *World) Close() error {
 	return nil
 }
 
-// Comm returns the communicator handle of the given rank.
+// Comm returns the communicator handle of the given local rank.
 func (w *World) Comm(rank int) (*Comm, error) {
-	if rank < 0 || rank >= w.size {
+	if rank < w.lo || rank >= w.hi {
 		return nil, &RankError{Op: "Comm", Rank: rank, Size: w.size}
 	}
 	return &Comm{world: w, rank: rank}, nil
@@ -127,7 +174,7 @@ func (w *World) Comm(rank int) (*Comm, error) {
 // recovered into errors) fails the world, so peers blocked on it unwedge
 // with a *WorldError instead of deadlocking. Run returns the primary
 // failure: the first rank error that is not itself a secondary
-// world-failure report.
+// world-failure report. Every rank must be local.
 func (w *World) Run(body func(c *Comm) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, w.size)
@@ -183,9 +230,9 @@ func (c *Comm) Size() int { return c.world.size }
 // Request is the handle of a nonblocking operation. A send request completes
 // when the message has been handed to the runtime (buffered semantics); a
 // receive request completes when a matching message has been copied into its
-// buffer. Request is an interface so that alternative transports (the
-// multi-process TCP backend in internal/tcpmpi, a simulator re-enactment)
-// can hand out their own request handles behind the same core.Comm contract.
+// buffer. Request is an interface so that other transports (the simulator's
+// virtual-time runtime) can hand out their own request handles behind the
+// same core.Comm contract.
 type Request interface {
 	// Wait blocks until the operation completes and returns its error:
 	// nil on success, a *TruncationError if the exchange was truncated, or
@@ -196,26 +243,31 @@ type Request interface {
 	Done() bool
 }
 
-// request is the chanmpi-backed Request implementation.
+// request is a receive: one-shot (Irecv) or the resident request of a
+// persistent channel (RecvInit, CollRecvInit). Its matching state is
+// guarded by the owning mailbox's lock.
 type request struct {
 	done chan struct{}
 	fail *failure
-	// For receives: number of elements delivered.
+	// n is the number of elements delivered.
 	n int
-	// Identity for matching (receives queued at the destination).
+	// Identity for matching: source, tag and namespace (user or
+	// collective).
 	src, tag int
+	coll     bool
 	buf      []float64
 	matched  bool
-	// queued marks a persistent receive as having been Started at least
-	// once; with matched it distinguishes "still in flight" (queued, not
-	// matched) from "restartable" (guarded by the mailbox lock).
+	// queued marks a receive filed into its mailbox by the last post; with
+	// matched it distinguishes "in flight" (queued — posted, or claimed
+	// by a transport reading into buf — and not matched) from
+	// "restartable".
 	queued bool
-	// persistent marks a restartable request (RecvInit): completion sends a
-	// token on the buffered done channel instead of closing it, so the same
-	// request object restarts forever without reallocating.
+	// persistent marks a restartable request: completion sends a token on
+	// the buffered done channel instead of closing it, so the same request
+	// object restarts forever without reallocating.
 	persistent bool
-	// err records a delivery error (truncation); Wait returns it so both
-	// endpoints observe the failure, as an MPI error would abort both.
+	// err records a delivery error (truncation, a departed source, a
+	// failed read); Wait returns it.
 	err error
 }
 
@@ -231,22 +283,34 @@ func (r *request) signalDone() {
 }
 
 func (r *request) Wait() error {
+	err, _ := r.waitTimer(nil)
+	return err
+}
+
+// waitTimer completes like Wait but gives up when tc fires first,
+// reporting timedOut without consuming the completion. A nil tc never
+// fires.
+func (r *request) waitTimer(tc <-chan time.Time) (err error, timedOut bool) {
 	if r == nil {
-		return nil
+		return nil, false
 	}
 	select {
 	case <-r.done:
-		return r.err
+		return r.err, false
 	case <-r.fail.ch:
-		// The world failed; the match may never arrive. A completion that
-		// raced the failure still counts.
-		select {
-		case <-r.done:
-			return r.err
-		default:
-			return &WorldError{Cause: r.fail.Err()}
-		}
+	case <-tc:
+		timedOut = true
 	}
+	// A completion that raced the failure or the timer still counts.
+	select {
+	case <-r.done:
+		return r.err, false
+	default:
+	}
+	if timedOut {
+		return nil, true
+	}
+	return &WorldError{Cause: r.fail.Err()}, false
 }
 
 func (r *request) Done() bool {
@@ -260,6 +324,38 @@ func (r *request) Done() bool {
 		return false
 	}
 }
+
+// failWith completes the request with an error. Callers hold the mailbox
+// lock.
+func (r *request) failWith(err error) {
+	r.err = err
+	r.matched = true
+	r.signalDone()
+}
+
+// finish completes the request with the n elements now in its buffer.
+// Callers hold the mailbox lock.
+func (r *request) finish(n int) {
+	r.n = n
+	r.matched = true
+	r.signalDone()
+}
+
+// truncation returns the *TruncationError of an n-element message that
+// does not fit the request's buffer, or nil if it fits.
+func (r *request) truncation(n int) error {
+	if n > len(r.buf) {
+		return &TruncationError{Len: n, Cap: len(r.buf), Src: r.src, Tag: r.tag}
+	}
+	return nil
+}
+
+// sentRequest is the handle of a buffered send, complete when it is
+// returned. A zero-size value, so handing it out allocates nothing.
+type sentRequest struct{}
+
+func (sentRequest) Wait() error { return nil }
+func (sentRequest) Done() bool  { return true }
 
 // Waitall waits for every request (MPI_Waitall) and returns the first
 // error observed, after all requests have been waited on. Nil requests are
@@ -281,92 +377,189 @@ func Waitall(reqs ...Request) error {
 // communicator handle alone carries the full point-to-point contract.
 func (c *Comm) Waitall(reqs ...Request) error { return Waitall(reqs...) }
 
-// mailbox holds the unmatched messages and posted receives of one rank.
+// mailbox holds the posted receives and unmatched arrivals of one local
+// rank. The earliest posted receive with equal (src, tag, coll) wins an
+// arrival; the earliest arrival with equal (src, tag, coll) fills a
+// receive. Matched entries leave the queues at once. Consumed carriers
+// are recycled on a small free ring (payload buffer included), so the
+// buffered path stops allocating once the steady-state message sizes have
+// been seen.
 type mailbox struct {
-	mu sync.Mutex
-	// recvs are posted, unmatched receive requests in posting order.
+	mu    sync.Mutex
 	recvs []*request
-	// sends are arrived, unmatched messages in arrival order.
 	sends []*inflight
+	free  []*inflight // recycled carriers, most recently freed last
 }
 
-// deliverToPostedLocked delivers data to the earliest posted receive with
-// the same (src, tag) — the single matching rule shared by one-shot Isend
-// and persistent psend.Start. Returns whether a receive matched and the
-// delivery error; callers hold the mailbox lock and must release it before
-// failing the world on the error.
-func (b *mailbox) deliverToPostedLocked(src, tag int, data []float64) (bool, error) {
-	for _, rr := range b.recvs {
-		if rr.matched || rr.src != src || rr.tag != tag {
-			continue
-		}
-		err := deliver(rr, data)
-		b.compactLocked()
-		return true, err
-	}
-	return false, nil
-}
-
-// takeBufferedLocked consumes the earliest buffered message with req's
-// (src, tag) and delivers it — the single matching rule shared by one-shot
-// Irecv and persistent precv.Start. Returns whether a message matched and
-// the delivery error; same locking contract as deliverToPostedLocked.
-func (b *mailbox) takeBufferedLocked(req *request) (bool, error) {
-	for i, m := range b.sends {
-		if m == nil || m.src != req.src || m.tag != req.tag {
-			continue
-		}
-		b.sends[i] = nil
-		m.pending = false
-		err := deliver(req, m.data)
-		b.compactLocked()
-		return true, err
-	}
-	return false, nil
-}
-
+// inflight is a buffered message: a carrier from the free ring, or a
+// persistent send's resident staging copy.
 type inflight struct {
 	src, tag int
+	coll     bool
 	data     []float64
-	// pending marks a persistent send's resident staging copy as still
-	// buffered in a mailbox; cleared (under the mailbox lock) when the
-	// message is consumed, so the owning SendInit request can reuse it.
+	// owned marks a persistent send's staging copy: it belongs to the
+	// SendInit channel (pending tracks whether it is buffered here) and
+	// never enters the free ring.
+	owned   bool
 	pending bool
+}
+
+// maxFreeCarriers bounds the free ring per mailbox; halo exchanges have a
+// handful of peers, so a short ring captures the steady state without
+// pinning memory after a burst.
+const maxFreeCarriers = 16
+
+// getCarrierLocked returns a recycled carrier whose payload buffer holds n
+// elements, growing or allocating only when the ring has nothing suitable.
+func (b *mailbox) getCarrierLocked(n int) *inflight {
+	for i := len(b.free) - 1; i >= 0; i-- {
+		if cap(b.free[i].data) >= n {
+			m := b.free[i]
+			b.free = slices.Delete(b.free, i, i+1)
+			m.data = m.data[:n]
+			return m
+		}
+	}
+	if len(b.free) > 0 {
+		// Reuse the struct, grow its buffer.
+		m := b.free[len(b.free)-1]
+		b.free = b.free[:len(b.free)-1]
+		m.data = make([]float64, n)
+		return m
+	}
+	return &inflight{data: make([]float64, n)}
+}
+
+// putCarrierLocked returns a consumed carrier to the ring.
+func (b *mailbox) putCarrierLocked(m *inflight) {
+	if m.owned || len(b.free) >= maxFreeCarriers {
+		return
+	}
+	b.free = append(b.free, m)
+}
+
+// matchLocked returns the index in recvs of the earliest posted receive
+// matching (src, tag, coll), or -1.
+func (b *mailbox) matchLocked(src, tag int, coll bool) int {
+	for i, r := range b.recvs {
+		if r.src == src && r.tag == tag && r.coll == coll {
+			return i
+		}
+	}
+	return -1
+}
+
+// deliverLocked copies data into r and completes it — or, if data does not
+// fit, fails the world and then r with a *TruncationError, leaving r's
+// buffer untouched. Failing the world first means no Wait can report the
+// truncation while the world still looks healthy. Callers hold r's mailbox
+// lock and, on an error, call Fail once they have released it.
+func (w *World) deliverLocked(r *request, data []float64) error {
+	if err := r.truncation(len(data)); err != nil {
+		w.failure.fail(err)
+		r.failWith(err)
+		return err
+	}
+	copy(r.buf, data)
+	r.finish(len(data))
+	return nil
+}
+
+// send hands data from local rank src to rank dst under (tag, coll):
+// straight into the earliest matching posted receive when dst is local,
+// else buffered through a recycled carrier — or through stage, a
+// persistent send's resident staging copy, when it is non-nil and free —
+// and to the Link when dst lives elsewhere. Buffered semantics: the caller
+// may reuse data as soon as send returns. A truncation fails the world.
+func (w *World) send(op string, src, dst, tag int, coll bool, data []float64, stage *inflight) error {
+	if dst < 0 || dst >= w.size {
+		return &RankError{Op: op, Rank: dst, Size: w.size}
+	}
+	if err := w.failure.Err(); err != nil {
+		return &WorldError{Cause: err}
+	}
+	if dst < w.lo || dst >= w.hi {
+		return w.link.Send(src, dst, tag, coll, data)
+	}
+	box := w.boxes[dst-w.lo]
+	box.mu.Lock()
+	if i := box.matchLocked(src, tag, coll); i >= 0 {
+		r := box.recvs[i]
+		box.recvs = slices.Delete(box.recvs, i, i+1)
+		err := w.deliverLocked(r, data)
+		box.mu.Unlock()
+		if err != nil {
+			// Fail outside the mailbox lock: Fail wakes waiters and aborts
+			// the Link, neither of which may run under it.
+			w.Fail(err)
+		}
+		return err
+	}
+	m := stage
+	if m == nil || m.pending {
+		m = box.getCarrierLocked(len(data))
+	} else {
+		if cap(m.data) < len(data) {
+			m.data = make([]float64, len(data))
+		}
+		m.data = m.data[:len(data)]
+		m.pending = true
+	}
+	m.src, m.tag, m.coll = src, tag, coll
+	copy(m.data, data)
+	box.sends = append(box.sends, m)
+	box.mu.Unlock()
+	return nil
+}
+
+// postLocked files a new or restarted receive into box, the mailbox of
+// local rank dst, whose lock the caller holds; postLocked releases it. The
+// earliest buffered arrival with r's (src, tag, coll) fills r at once.
+// That scan runs before the failure check, so a message that arrived
+// before the world failed stays receivable (a lagging rank can consume the
+// last messages of a completed exchange after a peer has left). Otherwise
+// r is refused on a failed world or a departed source, and queued if
+// neither. A caller tells "completed with an error" (truncation) from
+// "refused" by r.matched.
+func (w *World) postLocked(box *mailbox, r *request) error {
+	for i, m := range box.sends {
+		if m.src != r.src || m.tag != r.tag || m.coll != r.coll {
+			continue
+		}
+		box.sends = slices.Delete(box.sends, i, i+1)
+		m.pending = false
+		err := w.deliverLocked(r, m.data)
+		box.putCarrierLocked(m)
+		box.mu.Unlock()
+		if err != nil {
+			w.Fail(err)
+		}
+		return err
+	}
+	if err := w.failure.Err(); err != nil {
+		box.mu.Unlock()
+		return &WorldError{Cause: err}
+	}
+	if w.departed[r.src].Load() {
+		box.mu.Unlock()
+		return departedError(r.src)
+	}
+	r.queued = true
+	box.recvs = append(box.recvs, r)
+	box.mu.Unlock()
+	return nil
 }
 
 // Isend starts a nonblocking send of data to rank dst with the given tag.
 // The runtime copies the payload immediately (buffered send), so the caller
 // may reuse data as soon as Isend returns; the returned request is already
 // complete and exists for symmetry with MPI call sites. A truncation
-// detected at match time is returned immediately (and recorded on the
-// request), and fails the world.
+// detected at match time is returned, and fails the world.
 func (c *Comm) Isend(dst, tag int, data []float64) (Request, error) {
-	if dst < 0 || dst >= c.world.size {
-		return nil, &RankError{Op: "Isend", Rank: dst, Size: c.world.size}
+	if err := c.world.send("Isend", c.rank, dst, tag, false, data, nil); err != nil {
+		return nil, err
 	}
-	if err := c.world.failure.Err(); err != nil {
-		return nil, &WorldError{Cause: err}
-	}
-	req := &request{done: make(chan struct{}), fail: c.world.failure}
-	box := c.world.boxes[dst]
-	box.mu.Lock()
-	if ok, err := box.deliverToPostedLocked(c.rank, tag, data); ok {
-		box.mu.Unlock()
-		req.err = err
-		close(req.done)
-		if err != nil {
-			// Fail outside the mailbox lock: poisoning the mailbox while
-			// holding it would deadlock every other rank touching it
-			// instead of propagating the failure.
-			c.world.Fail(err)
-		}
-		return req, err
-	}
-	// No receive posted yet: buffer a copy.
-	box.sends = append(box.sends, &inflight{src: c.rank, tag: tag, data: append([]float64(nil), data...)})
-	box.mu.Unlock()
-	close(req.done)
-	return req, nil
+	return sentRequest{}, nil
 }
 
 // Irecv posts a nonblocking receive into buf for a message from rank src
@@ -375,61 +568,25 @@ func (c *Comm) Isend(dst, tag int, data []float64) (Request, error) {
 // matched immediately, from Irecv itself) and failing the world, matching
 // MPI's error semantics.
 func (c *Comm) Irecv(src, tag int, buf []float64) (Request, error) {
-	if src < 0 || src >= c.world.size {
-		return nil, &RankError{Op: "Irecv", Rank: src, Size: c.world.size}
+	w := c.world
+	if src < 0 || src >= w.size {
+		return nil, &RankError{Op: "Irecv", Rank: src, Size: w.size}
 	}
-	if err := c.world.failure.Err(); err != nil {
-		return nil, &WorldError{Cause: err}
-	}
-	req := &request{done: make(chan struct{}), fail: c.world.failure, src: src, tag: tag, buf: buf}
-	box := c.world.boxes[c.rank]
+	r := &request{done: make(chan struct{}), fail: w.failure, src: src, tag: tag, buf: buf}
+	box := w.boxes[c.rank-w.lo]
 	box.mu.Lock()
-	if ok, err := box.takeBufferedLocked(req); ok {
-		box.mu.Unlock()
-		if err != nil {
-			c.world.Fail(err)
+	if err := w.postLocked(box, r); err != nil {
+		if r.matched {
+			return r, err
 		}
-		return req, err
+		return nil, err
 	}
-	box.recvs = append(box.recvs, req)
-	box.mu.Unlock()
-	return req, nil
+	return r, nil
 }
 
-// deliver copies data into the receive buffer and completes the request.
-// Callers hold the destination mailbox lock; on a truncation error they
-// must RELEASE it before failing the world.
-func deliver(r *request, data []float64) error {
-	if len(data) > len(r.buf) {
-		err := &TruncationError{Len: len(data), Cap: len(r.buf), Src: r.src, Tag: r.tag}
-		r.err = err
-		r.matched = true
-		r.signalDone()
-		return err
-	}
-	copy(r.buf, data)
-	r.n = len(data)
-	r.matched = true
-	r.signalDone()
-	return nil
-}
-
-// compactLocked removes matched receives and consumed sends.
-func (b *mailbox) compactLocked() {
-	recvs := b.recvs[:0]
-	for _, r := range b.recvs {
-		if !r.matched {
-			recvs = append(recvs, r)
-		}
-	}
-	b.recvs = recvs
-	sends := b.sends[:0]
-	for _, s := range b.sends {
-		if s != nil {
-			sends = append(sends, s)
-		}
-	}
-	b.sends = sends
+// departedError is the error of a receive whose source has left the world.
+func departedError(src int) error {
+	return fmt.Errorf("chanmpi: the process owning rank %d closed its world before the message arrived", src)
 }
 
 // Send is a blocking send (trivially complete under buffered semantics).
@@ -469,9 +626,10 @@ const (
 )
 
 // Combine applies the reduction pairwise. Exported so every transport
-// (tcpmpi's tree reduction, future backends) folds with the identical
-// operation table — a transport-private copy could silently diverge on a
-// newly added op and break cross-transport bit-identity. Unknown ops sum.
+// (tcpmpi's dissemination collectives, future backends) folds with the
+// identical operation table — a transport-private copy could silently
+// diverge on a newly added op and break cross-transport bit-identity.
+// Unknown ops sum.
 func (op ReduceOp) Combine(a, b float64) float64 {
 	switch op {
 	case OpMax:
@@ -497,9 +655,9 @@ func (op ReduceOp) Combine(a, b float64) float64 {
 // combine runs in canonical rank order 0,1,…,Size-1 once every rank has
 // contributed, so the result is bit-deterministic across runs — and
 // bit-identical to any other transport using the same canonical order
-// (tcpmpi's tree reduction does). Ranks must agree on the vector length: a
-// mismatch returns a *MismatchError to the offending rank and fails the
-// world, so peers blocked in the round observe a *WorldError.
+// (tcpmpi's dissemination collectives do). Ranks must agree on the vector
+// length: a mismatch returns a *MismatchError to the offending rank and
+// fails the world, so peers blocked in the round observe a *WorldError.
 func (c *Comm) Allreduce(op ReduceOp, in []float64) ([]float64, error) {
 	res, err := c.world.reducer.allreduce(op, in, c.rank, c.world.failure)
 	if err != nil {

@@ -19,7 +19,8 @@ import "fmt"
 // initiates one transfer; Wait blocks until it completes and returns its
 // error. Each Start must be matched by a Wait before the next Start; for
 // sends, Wait is trivially immediate under the runtime's buffered
-// semantics. Start after a world failure returns a *WorldError.
+// semantics. Start after a world failure returns a *WorldError, except
+// that a receive still gets a message that arrived before the failure.
 type PersistentRequest interface {
 	// Start initiates one transfer over the channel. For a receive it
 	// (re)posts the resident request; for a send it delivers or stages the
@@ -32,10 +33,24 @@ type PersistentRequest interface {
 }
 
 // precv is a persistent receive channel: one resident request, restarted
-// into the owner's mailbox by each Start.
+// into the owner's mailbox by each Start. When the transport behind a
+// range world reads an arriving message, a started precv means the
+// payload goes straight into the bound buffer (see Claim).
 type precv struct {
 	c   *Comm
 	req *request
+}
+
+func (c *Comm) newPrecv(src, tag int, coll bool, buf []float64) precv {
+	return precv{c: c, req: &request{
+		done:       make(chan struct{}, 1),
+		fail:       c.world.failure,
+		src:        src,
+		tag:        tag,
+		coll:       coll,
+		buf:        buf,
+		persistent: true,
+	}}
 }
 
 // RecvInit creates a persistent receive channel for messages from rank src
@@ -45,30 +60,27 @@ func (c *Comm) RecvInit(src, tag int, buf []float64) (PersistentRequest, error) 
 	if src < 0 || src >= c.world.size {
 		return nil, &RankError{Op: "RecvInit", Rank: src, Size: c.world.size}
 	}
-	return &precv{
-		c: c,
-		req: &request{
-			done:       make(chan struct{}, 1),
-			fail:       c.world.failure,
-			src:        src,
-			tag:        tag,
-			buf:        buf,
-			persistent: true,
-		},
-	}, nil
+	p := c.newPrecv(src, tag, false, buf)
+	return &p, nil
 }
 
-func (p *precv) Start() error {
-	c := p.c
-	r := p.req
-	box := c.world.boxes[c.rank]
+func (p *precv) Start() error { return p.startInto(p.req.buf) }
+
+// startInto restarts the resident request delivering into buf. The rebind
+// happens under the mailbox lock, inside the not-in-flight guard, so it
+// can never race a delivery.
+func (p *precv) startInto(buf []float64) error {
+	w, r := p.c.world, p.req
+	box := w.boxes[p.c.rank-w.lo]
 	box.mu.Lock()
-	if err := c.world.failure.Err(); err != nil {
-		box.mu.Unlock()
-		return &WorldError{Cause: err}
-	}
 	if r.queued && !r.matched {
+		// Posted, or claimed by a transport reading into buf. A request
+		// left in flight by a world failure reports the failure; only a
+		// healthy in-flight restart is a usage error.
 		box.mu.Unlock()
+		if err := w.failure.Err(); err != nil {
+			return &WorldError{Cause: err}
+		}
 		return fmt.Errorf("chanmpi: Start on a persistent receive still in flight (Wait it first)")
 	}
 	// Drain a completion token the caller never waited for: restarting
@@ -77,18 +89,9 @@ func (p *precv) Start() error {
 	case <-r.done:
 	default:
 	}
-	r.matched, r.err, r.n, r.queued = false, nil, 0, true
-	// Same matching rule as Irecv, through the shared helper.
-	if ok, err := box.takeBufferedLocked(r); ok {
-		box.mu.Unlock()
-		if err != nil {
-			c.world.Fail(err)
-		}
-		return err
-	}
-	box.recvs = append(box.recvs, r)
-	box.mu.Unlock()
-	return nil
+	r.buf = buf
+	r.matched, r.err, r.n, r.queued = false, nil, 0, false
+	return w.postLocked(box, r)
 }
 
 //repro:noalloc
@@ -99,7 +102,8 @@ func (p *precv) Wait() error { return p.req.Wait() }
 // path buffers without allocating; when the receive is already posted —
 // the steady-state order of the halo exchange, which posts all receives
 // before gathering — delivery goes straight from the bound buffer into the
-// receiver's.
+// receiver's, and to a rank in another process the Link sends the bound
+// buffer itself.
 type psend struct {
 	c        *Comm
 	dst, tag int
@@ -115,52 +119,12 @@ func (c *Comm) SendInit(dst, tag int, buf []float64) (PersistentRequest, error) 
 	if dst < 0 || dst >= c.world.size {
 		return nil, &RankError{Op: "SendInit", Rank: dst, Size: c.world.size}
 	}
-	return &psend{
-		c:     c,
-		dst:   dst,
-		tag:   tag,
-		buf:   buf,
-		stage: &inflight{src: c.rank, tag: tag},
-	}, nil
+	return &psend{c: c, dst: dst, tag: tag, buf: buf, stage: &inflight{owned: true}}, nil
 }
 
 func (p *psend) Start() error {
-	c := p.c
-	if err := c.world.failure.Err(); err != nil {
-		p.lastErr = &WorldError{Cause: err}
-		return p.lastErr
-	}
-	box := c.world.boxes[p.dst]
-	box.mu.Lock()
-	// Same matching rule as Isend, through the shared helper: deliver
-	// directly from the bound buffer, no staging copy.
-	if ok, err := box.deliverToPostedLocked(c.rank, p.tag, p.buf); ok {
-		box.mu.Unlock()
-		p.lastErr = err
-		if err != nil {
-			c.world.Fail(err)
-		}
-		return err
-	}
-	// No receive posted yet: buffer through the resident staging copy. If
-	// the previous round's message is somehow still unconsumed (a pattern
-	// the lock-stepped halo exchange cannot produce), fall back to a fresh
-	// copy rather than corrupting it.
-	st := p.stage
-	if st.pending {
-		box.sends = append(box.sends, &inflight{src: c.rank, tag: p.tag, data: append([]float64(nil), p.buf...)})
-	} else {
-		if cap(st.data) < len(p.buf) {
-			st.data = make([]float64, len(p.buf))
-		}
-		st.data = st.data[:len(p.buf)]
-		copy(st.data, p.buf)
-		st.pending = true
-		box.sends = append(box.sends, st)
-	}
-	box.mu.Unlock()
-	p.lastErr = nil
-	return nil
+	p.lastErr = p.c.world.send("SendInit", p.c.rank, p.dst, p.tag, false, p.buf, p.stage)
+	return p.lastErr
 }
 
 // Wait reports the outcome of the last Start. Sends are buffered, so a

@@ -10,8 +10,9 @@ import (
 // Request and ReduceOp are the transport-neutral contract types of the
 // distributed runtime. They alias the chanmpi definitions — pure interface
 // and enum, with none of the in-process runtime attached — so that
-// *chanmpi.Comm satisfies Comm directly while alternative backends only
-// have to implement two tiny methods per request handle.
+// *chanmpi.Comm satisfies Comm directly. chanmpi is also the matching
+// engine of the multi-process tcp transport, whose handles are chanmpi's;
+// only the simulator hands out request handles of its own.
 type Request = chanmpi.Request
 
 // PersistentRequest is a restartable communication channel bound to a
@@ -32,18 +33,24 @@ const (
 	OpMin = chanmpi.OpMin
 )
 
-// The shared error taxonomy of the transport contract, aliased from the
-// in-process runtime so every backend reports the same typed failures:
-// addressing a rank outside the world (RankError), a message longer than
-// its receive buffer (TruncationError), ranks disagreeing on an Allreduce
-// length (MismatchError), and any operation on a failed world
-// (WorldError, which unwraps to the first cause).
+// The shared error taxonomy of the transport contract, aliased from
+// chanmpi — the matching engine of the real-time transports — so every
+// backend reports the same typed failures: addressing a rank outside the
+// world (RankError), a message longer than its receive buffer
+// (TruncationError), ranks disagreeing on an Allreduce length
+// (MismatchError), and any operation on a failed world (WorldError, which
+// unwraps to the first cause).
 type (
 	RankError       = chanmpi.RankError
 	TruncationError = chanmpi.TruncationError
 	MismatchError   = chanmpi.MismatchError
 	WorldError      = chanmpi.WorldError
 )
+
+// ErrWorldClosed is the cause a world records when it is closed, on every
+// transport: errors.Is(err, ErrWorldClosed) holds for every operation
+// refused or interrupted by a Close.
+var ErrWorldClosed = chanmpi.ErrWorldClosed
 
 // Comm is one rank's communicator: the complete message-passing surface the
 // kernel modes and the SPMD solvers consume. It decouples internal/core from

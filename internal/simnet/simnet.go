@@ -50,7 +50,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/chanmpi"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/fluid"
@@ -344,11 +343,10 @@ func (w *world) Fail(err error) {
 	w.mu.Unlock()
 }
 
-// Close fails the world with ErrWorldClosed (idempotent), releasing any
-// blocked ranks. It shares chanmpi's sentinel so errors.Is(err,
-// chanmpi.ErrWorldClosed) is transport-neutral.
+// Close fails the world with core.ErrWorldClosed (idempotent), releasing
+// any blocked ranks; every transport records that one sentinel.
 func (w *world) Close() error {
-	w.Fail(chanmpi.ErrWorldClosed)
+	w.Fail(core.ErrWorldClosed)
 	return nil
 }
 

@@ -161,3 +161,43 @@ func TestAllocGatePostedReceiveFastPath(t *testing.T) {
 		t.Fatalf("scalar allreduce round allocates %.2f objects per round, want 0", allocs)
 	}
 }
+
+// TestAllocGateUnmatchedIsend: a one-shot Isend to a rank in the other
+// process writes one frame, and the peer's reader, with no receive posted
+// yet, reads it into a recycled carrier that a persistent receive's Start
+// then drains (or, if the Start wins the race, straight into the posted
+// receive). Either way, once warm, a round allocates nothing on either
+// endpoint.
+func TestAllocGateUnmatchedIsend(t *testing.T) {
+	worlds := dialSplit(t, 2, [][2]int{{0, 1}, {1, 2}})
+	cs := comms(t, worlds, 2)
+	for _, n := range []int{1, 14838} { // one scalar; one HMeP Small halo
+		out := make([]float64, n)
+		in := make([]float64, n)
+		recv, err := cs[1].RecvInit(0, 5, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			out[n-1]++
+			if _, err := cs[0].Isend(1, 5, out); err != nil {
+				t.Fatal(err)
+			}
+			if err := recv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := recv.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			round()
+		}
+		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+			t.Fatalf("%d-element unmatched Isend allocates %.2f objects per round, want 0", n, allocs)
+		}
+		if in[n-1] != out[n-1] {
+			t.Fatalf("%d-element Isend delivered %v, want %v", n, in[n-1], out[n-1])
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/chanmpi"
 	"repro/internal/core"
 )
 
@@ -38,10 +39,11 @@ import (
 // (collectives on one rank are never concurrent), mirroring the in-process
 // reducer's resident collection buffers: the payload, the result, the
 // rank-indexed vector table and the int64 conversion scratch — and the
-// receives themselves, which run over one persistent channel per round
-// (a round's source never changes), restarted with the round's slice of
-// the payload. A steady-state collective therefore allocates nothing. The
-// returned slices stay valid only until the rank's next collective.
+// receives themselves, which run over one of the engine's collective
+// persistent receives per round (a round's source never changes),
+// restarted with the round's slice of the payload. A steady-state
+// collective therefore allocates nothing. The returned slices stay valid
+// only until the rank's next collective.
 
 // collScratch is a communicator's resident collective workspace.
 type collScratch struct {
@@ -50,9 +52,9 @@ type collScratch struct {
 	vecs     [][]float64 // rank-indexed views into payload
 	gathered []int64     // AllgatherInt64 conversion output
 
-	// recv[k] is round k's persistent receive channel, from rank+2ᵏ under
-	// tag k, created on first use.
-	recv []*precv
+	// edges[k] is round k's receive edge, from rank+2ᵏ under tag k,
+	// created on first use.
+	edges []*edge
 
 	// deadline is the resident timer of the optional per-collective
 	// deadline (Transport.CollectiveTimeout), created on first use and
@@ -60,6 +62,15 @@ type collScratch struct {
 	// Reset discards any stale fire, so no drain dance is needed and the
 	// steady-state wait allocates nothing.
 	deadline *time.Timer
+}
+
+// edge is one collective round's receive: the engine's persistent
+// collective receive from src and, under slow-peer suspicion (see
+// slow.go), the EWMA of its waits.
+type edge struct {
+	recv *chanmpi.CollRecv
+	src  int
+	lat  latEwma
 }
 
 // grow returns buf resized to n elements, reallocating only on capacity
@@ -72,12 +83,12 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// exchange is one round of a collective: post the round's persistent
-// receive p (from p's source rank) delivering into `into`, send `out` to
-// dst under the round's tag, and wait for exactly len(into) elements. Any
-// other length — shorter, or longer and therefore truncated — means the
-// ranks disagree on the collective's vector length: a protocol-level
-// *core.MismatchError that fails the world. With
+// exchange is round k of a collective: post the round's receive e (from
+// e.src) delivering into `into`, send `out` to dst under tag k, and wait
+// for exactly len(into) elements. Any other length — shorter, or longer
+// and therefore truncated — means the ranks disagree on the collective's
+// vector length: a protocol-level *core.MismatchError that fails the
+// world. With
 // Transport.CollectiveTimeout set, the wait is bounded: a round edge that
 // stays silent past the deadline fails the world with a *core.PeerError
 // naming the source as the hung rank — the detection path for a peer that
@@ -86,17 +97,17 @@ func grow(buf []float64, n int) []float64 {
 // latency EWMA: a rank whose contribution is suddenly far later than its
 // own history is suspected SLOW (phase "slow") long before any absolute
 // deadline would fire.
-func (c *comm) exchange(p *precv, dst int, out, into []float64) error {
+func (c *comm) exchange(k int, e *edge, dst int, out, into []float64) error {
 	want := len(into)
-	err := p.startInto(into)
+	err := e.recv.Start(into)
 	if err == nil {
-		err = c.w.send(c.rank, dst, p.req.tag, true, out, nil)
+		err = c.CollSend(dst, k, out)
 		// A send refused by a failed world still looks at its receive (the
 		// wait returns at once): if the world failed over this very
 		// receive, that is the error to report, not the write on the
 		// connection torn down because of it.
-		if err == nil || c.w.failure.Err() != nil {
-			if werr := c.waitEdge(p); werr != nil {
+		if err == nil || c.w.eng.Err() != nil {
+			if werr := c.waitEdge(e); werr != nil {
 				err = werr
 			}
 		}
@@ -104,17 +115,17 @@ func (c *comm) exchange(p *precv, dst int, out, into []float64) error {
 	if trunc, ok := err.(*core.TruncationError); ok {
 		err = &core.MismatchError{Got: trunc.Len, Want: want}
 	}
-	if err == nil && p.req.n != want {
-		err = &core.MismatchError{Got: p.req.n, Want: want}
-		c.w.failWorld(err)
+	if err == nil && e.recv.Len() != want {
+		err = &core.MismatchError{Got: e.recv.Len(), Want: want}
+		c.w.Fail(err)
 	}
 	return err
 }
 
-// waitEdge waits for the started round receive p under the collective
+// waitEdge waits for the started round receive e under the collective
 // deadline and the slow-peer EWMA, when either is configured.
-func (c *comm) waitEdge(p *precv) error {
-	src := p.req.src
+func (c *comm) waitEdge(e *edge) error {
+	src := e.src
 	var waitStart time.Time
 	if c.w.slow.enabled() {
 		waitStart = time.Now()
@@ -126,24 +137,24 @@ func (c *comm) waitEdge(p *precv) error {
 		} else {
 			cs.deadline.Reset(d)
 		}
-		err, timedOut := p.req.waitTimer(cs.deadline.C)
+		err, timedOut := e.recv.Wait(cs.deadline.C)
 		if timedOut {
 			err = &core.PeerError{
 				RankLo: src, RankHi: src + 1, Phase: core.PhaseCollective,
-				Err: fmt.Errorf("tcpmpi: no contribution on round edge %d→%d within %v", src, c.rank, d),
+				Err: fmt.Errorf("tcpmpi: no contribution on round edge %d→%d within %v", src, c.Rank(), d),
 			}
-			c.w.failWorld(err)
+			c.w.Fail(err)
 			return err
 		}
 		cs.deadline.Stop()
 		if err != nil {
 			return err
 		}
-	} else if err := p.Wait(); err != nil {
+	} else if err, _ := e.recv.Wait(nil); err != nil {
 		return err
 	}
 	if c.w.slow.enabled() {
-		c.w.observeLinkLatency(c.w.rankProc[src], src, src+1, "collective edge", &p.lat, time.Since(waitStart))
+		c.w.observeLinkLatency(c.w.rankProc[src], src, src+1, "collective edge", &e.lat, time.Since(waitStart))
 	}
 	return nil
 }
@@ -157,8 +168,8 @@ func (c *comm) waitEdge(p *precv) error {
 // returned slice aliases the communicator's resident scratch: read-only,
 // valid until the rank's next collective.
 func (c *comm) allgatherTransform(in []float64, resLen int, transform func(vecs [][]float64, out []float64)) ([]float64, error) {
-	w, rank, cs := c.w, c.rank, &c.cs
-	if err := w.failure.Err(); err != nil {
+	w, rank, cs := c.w, c.Rank(), &c.cs
+	if err := w.eng.Err(); err != nil {
 		return nil, &core.WorldError{Cause: err}
 	}
 	ln, size := len(in), w.size
@@ -166,11 +177,12 @@ func (c *comm) allgatherTransform(in []float64, resLen int, transform func(vecs 
 	cs.payload = grow(cs.payload, size*ln)
 	copy(cs.payload, in)
 	for k, dist := 0, 1; dist < size; k, dist = k+1, 2*dist {
-		if k == len(cs.recv) {
-			cs.recv = append(cs.recv, c.newPrecv((rank+dist)%size, k, true))
+		if k == len(cs.edges) {
+			src := (rank + dist) % size
+			cs.edges = append(cs.edges, &edge{recv: c.CollRecvInit(src, k), src: src})
 		}
 		have, cnt := dist*ln, min(dist, size-dist)*ln
-		if err := c.exchange(cs.recv[k], (rank-dist+size)%size, cs.payload[:cnt], cs.payload[have:have+cnt]); err != nil {
+		if err := c.exchange(k, cs.edges[k], (rank-dist+size)%size, cs.payload[:cnt], cs.payload[have:have+cnt]); err != nil {
 			return nil, err
 		}
 	}

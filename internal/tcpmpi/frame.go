@@ -43,7 +43,7 @@ import (
 // bytes are the float64s' own memory (internal/f64le), so the writer hands
 // the kernel the header and the caller's vector in one writev, and the
 // reader reads the payload straight into the receive that will own it (see
-// world.deliverFrame).
+// world.receiveFrame).
 const (
 	kindUser byte = 0
 	kindColl byte = 1
@@ -143,7 +143,7 @@ func (p *peerConn) writeFrame(kind byte, src, dst, tag int, data []float64) erro
 // readFrame reads and checks one frame header from the peer; the payload,
 // count float64s, is still on the wire when it returns. The reader
 // goroutine reads it straight into the receive that will own it (see
-// world.deliverFrame). Only the connection's single reader goroutine calls
+// world.receiveFrame). Only the connection's single reader goroutine calls
 // readFrame.
 //
 //repro:noalloc

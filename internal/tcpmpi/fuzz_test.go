@@ -29,10 +29,14 @@ func readFrames(t testing.TB, data []byte) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.post(1, 0, 1, false, make([]float64, 4)); err != nil {
+	c, err := w.eng.Comm(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.post(1, 0, 0, true, make([]float64, 2)); err != nil {
+	if _, err := c.Irecv(0, 1, make([]float64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CollRecvInit(0, 0).Start(make([]float64, 2)); err != nil {
 		t.Fatal(err)
 	}
 	local, peer := net.Pipe()

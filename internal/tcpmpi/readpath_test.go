@@ -40,7 +40,7 @@ var twoProcs = []procInfo{{RankLo: 0, RankHi: 1}, {RankLo: 1, RankHi: 2}}
 // plays process 0 on the returned end, byte by byte. A pipe Write returns
 // only once the reader has taken every byte, so the test knows how far
 // the reader has got.
-func pipeWorld(t *testing.T) (*world, *comm, net.Conn) {
+func pipeWorld(t *testing.T) (*world, core.Comm, net.Conn) {
 	t.Helper()
 	w, err := newWorld(2, 1, 2, twoProcs, 1)
 	if err != nil {
@@ -59,7 +59,11 @@ func pipeWorld(t *testing.T) (*world, *comm, net.Conn) {
 		w.Close()
 		<-done
 	})
-	return w, &comm{w: w, rank: 1}, peer
+	c, err := w.Comm(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, c, peer
 }
 
 // send writes b on the test's end of a pipe world.
@@ -115,20 +119,27 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestBothPostingOrdersDeliverBitForBit sends the same payloads over a
-// real loopback pair to a receive posted before the frame arrives (read
-// straight into it) and to one posted after (read into a carrier, copied
-// at the post), at lengths inside and beyond the reader's 4 KB buffer.
-func TestBothPostingOrdersDeliverBitForBit(t *testing.T) {
+// pairComms returns the communicators of the two ranks of a dialPair
+// world.
+func pairComms(t *testing.T) (c0, c1 core.Comm) {
+	t.Helper()
 	worlds := dialPair(t, nil)
 	c0, err := worlds[0].Comm(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := worlds[1].Comm(1)
-	if err != nil {
+	if c1, err = worlds[1].Comm(1); err != nil {
 		t.Fatal(err)
 	}
+	return c0, c1
+}
+
+// TestBothPostingOrdersDeliverBitForBit sends the same payloads over a
+// real loopback pair to a receive posted before the frame arrives (read
+// straight into it) and to one posted after (read into a carrier, copied
+// at the post), at lengths inside and beyond the reader's 4 KB buffer.
+func TestBothPostingOrdersDeliverBitForBit(t *testing.T) {
+	c0, c1 := pairComms(t)
 	for _, n := range []int{1, 8, 511, 3000} {
 		want := bitPatterns(int64(n), n)
 
@@ -187,13 +198,13 @@ func TestTruncationInBothPostingOrders(t *testing.T) {
 	untouched := func(buf []float64) bool { return buf[0] == -7 && buf[1] == -7 }
 
 	t.Run("posted first", func(t *testing.T) {
-		worlds := dialPair(t, nil)
+		c0, c1 := pairComms(t)
 		buf := sentinel()
-		req, err := worlds[1].post(1, 0, 5, false, buf)
+		req, err := c1.Irecv(0, 5, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := worlds[0].send(0, 1, 5, false, long, nil); err != nil {
+		if _, err := c0.Isend(1, 5, long); err != nil {
 			t.Fatal(err)
 		}
 		var trunc *core.TruncationError
@@ -205,14 +216,14 @@ func TestTruncationInBothPostingOrders(t *testing.T) {
 		}
 	})
 	t.Run("posted after", func(t *testing.T) {
-		worlds := dialPair(t, nil)
-		if err := worlds[0].send(0, 1, 5, false, long, nil); err != nil {
+		c0, c1 := pairComms(t)
+		if _, err := c0.Isend(1, 5, long); err != nil {
 			t.Fatal(err)
 		}
-		if err := worlds[0].send(0, 1, 6, false, nil, nil); err != nil {
+		if _, err := c0.Isend(1, 6, nil); err != nil {
 			t.Fatal(err)
 		}
-		marker, err := worlds[1].post(1, 0, 6, false, nil)
+		marker, err := c1.Irecv(0, 6, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +231,7 @@ func TestTruncationInBothPostingOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := sentinel()
-		_, err = worlds[1].post(1, 0, 5, false, buf)
+		_, err = c1.Irecv(0, 5, buf)
 		var trunc *core.TruncationError
 		if !errors.As(err, &trunc) {
 			t.Fatalf("got %v, want a *core.TruncationError", err)
@@ -325,10 +336,10 @@ func TestPeerClosesMidPayload(t *testing.T) {
 		w, c, peer := pipeWorld(t)
 		send(t, peer, frame[:frameHeaderLen+2000])
 		peer.Close()
-		select {
-		case <-w.failure.ch:
-		case <-time.After(10 * time.Second):
-			t.Fatal("world did not fail")
+		for deadline := time.Now().Add(10 * time.Second); w.eng.Err() == nil; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("world did not fail")
+			}
 		}
 		_, err := c.Irecv(0, 5, make([]float64, 600))
 		wantPeer(t, err)

@@ -114,7 +114,7 @@ func (w *world) noteSlow(proc, rankLo, rankHi int, site string, sample, baseline
 			site, sample.Round(time.Microsecond), float64(sample)/float64(baseline), baseline.Round(time.Microsecond)),
 	}
 	if w.slow.failOnSlow {
-		w.failWorld(pe)
+		w.Fail(pe)
 		return
 	}
 	if w.slow.onSlow != nil && !w.slowSuspect[proc].Swap(true) {

@@ -7,7 +7,6 @@ package tcpmpi
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,18 +37,19 @@ func TestLatEwmaObserve(t *testing.T) {
 
 // slowTestWorld builds the minimal world state noteSlow and
 // observeLinkLatency need: two processes, no connections.
-func slowTestWorld(sc slowConfig) *world {
-	return &world{
-		procs:       []procInfo{{RankLo: 0, RankHi: 1}, {RankLo: 1, RankHi: 2}},
-		slow:        sc,
-		slowSuspect: make([]atomic.Bool, 2),
-		failure:     &failure{ch: make(chan struct{})},
+func slowTestWorld(t *testing.T, sc slowConfig) *world {
+	t.Helper()
+	w, err := newWorld(2, 0, 1, []procInfo{{RankLo: 0, RankHi: 1}, {RankLo: 1, RankHi: 2}}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	w.slow = sc
+	return w
 }
 
 func TestSlowSuspicionThresholdAndDebounce(t *testing.T) {
 	var calls []*core.PeerError
-	w := slowTestWorld(slowConfig{
+	w := slowTestWorld(t, slowConfig{
 		factor:     3,
 		floor:      10 * time.Millisecond,
 		minSamples: 3,
@@ -86,19 +86,19 @@ func TestSlowSuspicionThresholdAndDebounce(t *testing.T) {
 	if len(calls) != 2 {
 		t.Fatalf("re-degradation after recovery raised %d total suspicions, want 2", len(calls))
 	}
-	if w.failure.Err() != nil {
-		t.Fatalf("advisory policy failed the world: %v", w.failure.Err())
+	if w.eng.Err() != nil {
+		t.Fatalf("advisory policy failed the world: %v", w.eng.Err())
 	}
 }
 
 func TestSlowSuspicionFailOnSlow(t *testing.T) {
-	w := slowTestWorld(slowConfig{factor: 3, floor: 10 * time.Millisecond, minSamples: 2, failOnSlow: true})
+	w := slowTestWorld(t, slowConfig{factor: 3, floor: 10 * time.Millisecond, minSamples: 2, failOnSlow: true})
 	var e latEwma
 	for i := 0; i < 3; i++ {
 		w.observeLinkLatency(1, 1, 2, "test link", &e, time.Millisecond)
 	}
 	w.observeLinkLatency(1, 1, 2, "test link", &e, 100*time.Millisecond)
-	err := w.failure.Err()
+	err := w.eng.Err()
 	var pe *core.PeerError
 	if !errors.As(err, &pe) || pe.Phase != core.PhaseSlow {
 		t.Fatalf("FailOnSlow left the world with %v, want a phase-slow *core.PeerError", err)
@@ -133,7 +133,7 @@ func TestPingPongRoundTripSamples(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := w0.failure.Err(); err != nil {
+	if err := w0.eng.Err(); err != nil {
 		t.Fatalf("idle heartbeat world failed: %v", err)
 	}
 }

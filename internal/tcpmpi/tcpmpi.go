@@ -1,9 +1,10 @@
 // Package tcpmpi is the multi-process TCP backend of the core.Comm
 // transport contract: several OS processes, each owning a contiguous rank
 // range, rendezvous at a coordinator address and assemble one
-// message-passing world over length-prefixed binary frames. Point-to-point
-// traffic is tag-matched per (source, tag) in posting order — the same
-// discipline as the in-process chanmpi runtime — and the collectives are a
+// message-passing world over length-prefixed binary frames. A process's
+// ranks live in a chanmpi range world, so point-to-point traffic, local or
+// framed, is matched per (source, tag) in posting order by the same engine
+// as the in-process runtime; tcpmpi supplies the wire. The collectives are a
 // dissemination allgather in ⌈log₂P⌉ rounds followed by canonical
 // rank-order combining on every rank, so distributed solves are
 // bit-identical to their in-process counterparts.

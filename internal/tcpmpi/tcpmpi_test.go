@@ -263,8 +263,8 @@ func TestCollectives(t *testing.T) {
 }
 
 func TestAllreduceBitIdenticalToChanmpi(t *testing.T) {
-	// The canonical rank-order combine: tcpmpi's tree reduction must
-	// produce the same floating-point bits as the in-process runtime for
+	// The canonical rank-order combine: tcpmpi's dissemination allreduce
+	// must produce the same floating-point bits as the in-process runtime for
 	// the same inputs — the property whole-solve bit-identity rests on.
 	const size = 6
 	ins := make([][]float64, size)
