@@ -37,49 +37,66 @@ func contribution(r, i, ln int) []float64 {
 
 var reduceOps = []core.ReduceOp{core.OpSum, core.OpMax, core.OpMin}
 
-// The dissemination collectives agree with the in-process runtime bit for
-// bit on every rank — sum, max and min, scalar and short vector — at rank
-// counts on both sides of a power of two and however the ranks are spread
-// over endpoints, and AllgatherInt64 is exact over the full int64 range.
-func TestCollectivesBitIdenticalToChanmpiAcrossSizesAndSplits(t *testing.T) {
+// canonicalFold is the reference result of the i-th collective: every
+// rank's contribution of length ln, folded one after the other in rank
+// order 0 ⊕ 1 ⊕ … ⊕ size-1.
+func canonicalFold(op core.ReduceOp, size, i, ln int) []float64 {
+	want := contribution(0, i, ln)
+	for q := 1; q < size; q++ {
+		for j, v := range contribution(q, i, ln) {
+			want[j] = op.Combine(want[j], v)
+		}
+	}
+	return want
+}
+
+// Every collective agrees bit for bit with the sequential canonical fold
+// on every rank — sum, max and min, scalar and short vector — at rank
+// counts on both sides of a power of two, however the ranks are spread
+// over tcp endpoints and on an all-local chanmpi world, and
+// AllgatherInt64 is exact over the full int64 range.
+func TestCollectivesMatchCanonicalFoldAcrossSizesAndSplits(t *testing.T) {
 	lens := []int{1, 3}
 	for _, size := range []int{1, 2, 3, 5, 7, 8} {
-		// want[rank] lists chanmpi's results on that rank, in call order.
-		want := make([][][]float64, size)
-		cw, err := chanmpi.NewWorld(size)
-		if err != nil {
-			t.Fatal(err)
+		type shape struct {
+			name  string
+			comms func(t *testing.T) []core.Comm
 		}
-		if err := cw.Run(func(c *chanmpi.Comm) error {
-			for oi, op := range reduceOps {
-				for _, ln := range lens {
-					res, err := c.Allreduce(op, contribution(c.Rank(), oi, ln))
-					if err != nil {
-						return err
-					}
-					want[c.Rank()] = append(want[c.Rank()], append([]float64(nil), res...))
+		shapes := []shape{{"chan", func(t *testing.T) []core.Comm {
+			w, err := chanmpi.NewWorld(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { w.Close() })
+			cs := make([]core.Comm, size)
+			for r := range cs {
+				if cs[r], err = w.Comm(r); err != nil {
+					t.Fatal(err)
 				}
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+			return cs
+		}}}
 		for _, splits := range collectiveSplits(size) {
-			t.Run(fmt.Sprintf("P=%d/endpoints=%d", size, len(splits)), func(t *testing.T) {
-				cs := comms(t, dialSplit(t, size, splits), size)
-				if err := spmd(cs, func(c core.Comm) error {
-					r, call := c.Rank(), 0
+			shapes = append(shapes, shape{fmt.Sprintf("endpoints=%d", len(splits)), func(t *testing.T) []core.Comm {
+				return comms(t, dialSplit(t, size, splits), size)
+			}})
+		}
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("P=%d/%s", size, sh.name), func(t *testing.T) {
+				if err := spmd(sh.comms(t), func(c core.Comm) error {
+					r := c.Rank()
 					for oi, op := range reduceOps {
 						for _, ln := range lens {
 							in := contribution(r, oi, ln)
+							want := canonicalFold(op, size, oi, ln)
 							res, err := c.Allreduce(op, in)
 							if err != nil {
 								return err
 							}
 							for i := range res {
-								if math.Float64bits(res[i]) != math.Float64bits(want[r][call][i]) {
-									return fmt.Errorf("rank %d op %v len %d elem %d: tcpmpi %x, chanmpi %x", r, op, ln, i,
-										math.Float64bits(res[i]), math.Float64bits(want[r][call][i]))
+								if math.Float64bits(res[i]) != math.Float64bits(want[i]) {
+									return fmt.Errorf("rank %d op %v len %d elem %d: got %x, fold %x", r, op, ln, i,
+										math.Float64bits(res[i]), math.Float64bits(want[i]))
 								}
 							}
 							if ln == 1 {
@@ -87,11 +104,10 @@ func TestCollectivesBitIdenticalToChanmpiAcrossSizesAndSplits(t *testing.T) {
 								if err != nil {
 									return err
 								}
-								if math.Float64bits(s) != math.Float64bits(want[r][call][0]) {
-									return fmt.Errorf("rank %d op %v: AllreduceScalar %x, chanmpi %x", r, op, math.Float64bits(s), math.Float64bits(want[r][call][0]))
+								if math.Float64bits(s) != math.Float64bits(want[0]) {
+									return fmt.Errorf("rank %d op %v: AllreduceScalar %x, fold %x", r, op, math.Float64bits(s), math.Float64bits(want[0]))
 								}
 							}
-							call++
 						}
 					}
 					// Values spread over the whole int64 range.
@@ -135,12 +151,7 @@ func TestBackToBackCollectivesOfAlternatingLength(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					want := contribution(0, i, ln)
-					for q := 1; q < size; q++ {
-						for j, v := range contribution(q, i, ln) {
-							want[j] = core.OpSum.Combine(want[j], v)
-						}
-					}
+					want := canonicalFold(core.OpSum, size, i, ln)
 					for j := range want {
 						if math.Float64bits(res[j]) != math.Float64bits(want[j]) {
 							return fmt.Errorf("rank %d collective %d elem %d: got %x want %x", c.Rank(), i, j,
