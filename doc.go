@@ -57,13 +57,15 @@
 // ChanTransport (the in-process chanmpi runtime) owns every rank and
 // keeps today's single-process behavior bit-identically; internal/tcpmpi
 // is the real multi-process TCP backend — rendezvous by address, rank
-// ranges per process, length-prefixed binary frames, dissemination
-// collectives (⌈log₂P⌉ one-way rounds) with canonical rank-order combining
-// on every rank (see internal/tcpmpi/README.md). Both real-time
+// ranges per process, length-prefixed binary frames, and two-level
+// collectives: a process's ranks combine in shared memory and one rank per
+// process runs a dissemination allgather over the Q processes (⌈log₂Q⌉
+// one-way rounds, leader to leader), with canonical rank-order combining
+// (see internal/tcpmpi/README.md). Both real-time
 // transports match messages in one engine: tcpmpi holds its local ranks in
 // a chanmpi range world and files every local send and every wire frame
-// into chanmpi's mailboxes, so matching order, buffering, truncation and
-// failure are one implementation (the point-to-point conformance table,
+// into chanmpi's mailboxes, so matching order, buffering, truncation,
+// failure and the collectives are one implementation (the point-to-point conformance table,
 // TestConformanceP2P in internal/tcpmpi, runs the same cases on both).
 // Reductions combine in canonical rank order on every transport, so
 // distributed solves are bit-reproducible across runs AND across
@@ -154,8 +156,9 @@
 // by heartbeats (tcpmpi.Transport.HeartbeatInterval/HeartbeatTimeout:
 // idle links carry kindPing frames, and silence past the timeout fails
 // the world within a bounded interval); a live process whose rank never
-// enters a collective is caught by the per-edge collective deadline
-// (CollectiveTimeout), which names the round edge that never delivered.
+// enters a collective is caught by the collective deadline
+// (CollectiveTimeout), which names the leader edge that never delivered
+// — its source process's ranks — or the local rank that never entered.
 // internal/faultmpi is the matching test instrument: a transport
 // decorator that injects deterministic, seeded faults (kill rank r at
 // its k-th operation, drop/delay/duplicate matched frames, fail dials)

@@ -14,7 +14,10 @@
 // with Claim (see transport.go). Either way every delivery, local or from
 // a wire, goes through the one mailbox per local rank in this file, so
 // matching order, buffering, truncation and failure are the same on every
-// real-time transport.
+// real-time transport. So is every collective (collective.go): a world's
+// ranks combine in shared memory, and only when the world spans several
+// processes does one rank per process take the round to the wire, leader
+// to leader, through the Link.
 //
 // It is the functional substitute for MPI in this reproduction: the
 // distributed kernels in internal/core run unchanged on top of it and are
@@ -41,16 +44,15 @@ import (
 )
 
 // World owns the shared state of a set of communicating ranks: the
-// mailboxes of the ranks it holds, [lo, hi), and the Link to the rest.
+// mailboxes of the ranks it holds, [lo, hi), their collective, and the
+// Link to the rest.
 type World struct {
 	size     int
 	lo, hi   int
 	link     Link          // carries sends to ranks outside [lo, hi); nil when every rank is local
 	boxes    []*mailbox    // local rank r → boxes[r-lo]
 	departed []atomic.Bool // by rank: its process has left the world (see Depart)
-	barrier  *barrier
-	reducer  *reducer
-	gatherer *gatherer
+	coll     collective
 	failure  *failure
 }
 
@@ -90,21 +92,37 @@ func (f *failure) cause() error {
 // NewWorld creates a world with the given number of ranks, all of them
 // local.
 func NewWorld(size int) (*World, error) {
-	return NewRangeWorld(size, 0, size, nil)
-}
-
-// NewRangeWorld creates the part of a world of size ranks that this
-// process holds, ranks [lo, hi); link carries everything sent to the other
-// ranks (see transport.go). The shared-memory collectives (Barrier,
-// Allreduce, AllgatherInt64) and Run need every rank in one World: the
-// transport behind a range world runs its own collectives.
-func NewRangeWorld(size, lo, hi int, link Link) (*World, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("chanmpi: world size %d < 1", size)
 	}
-	if lo < 0 || hi <= lo || hi > size {
-		return nil, fmt.Errorf("chanmpi: local ranks [%d,%d) invalid for world size %d", lo, hi, size)
+	return NewRangeWorld([]int{0, size}, 0, nil)
+}
+
+// NewRangeWorld creates process me's part of a world whose Q processes
+// hold consecutive rank ranges: process p holds ranks [bounds[p],
+// bounds[p+1]), so bounds starts at 0 and ends at the world size. link
+// carries everything sent to the other processes' ranks (see
+// transport.go); it may be nil only when there is one process. The
+// collectives run over the whole world: the local ranks combine in shared
+// memory, and with Q > 1 one of them carries each round to the other
+// processes' leaders (see collective.go). Run needs every rank local.
+func NewRangeWorld(bounds []int, me int, link Link) (*World, error) {
+	q := len(bounds) - 1
+	if q < 1 || bounds[0] != 0 {
+		return nil, fmt.Errorf("chanmpi: process bounds %v do not start a world at rank 0", bounds)
 	}
+	for p := 0; p < q; p++ {
+		if bounds[p+1] <= bounds[p] {
+			return nil, fmt.Errorf("chanmpi: process %d holds no ranks: bounds %v", p, bounds)
+		}
+	}
+	if me < 0 || me >= q {
+		return nil, fmt.Errorf("chanmpi: process %d of %d", me, q)
+	}
+	if q > 1 && link == nil {
+		return nil, fmt.Errorf("chanmpi: a world of %d processes needs a Link", q)
+	}
+	size, lo, hi := bounds[q], bounds[me], bounds[me+1]
 	w := &World{
 		size:     size,
 		lo:       lo,
@@ -112,14 +130,12 @@ func NewRangeWorld(size, lo, hi int, link Link) (*World, error) {
 		link:     link,
 		boxes:    make([]*mailbox, hi-lo),
 		departed: make([]atomic.Bool, size),
-		barrier:  newBarrier(size),
-		reducer:  newReducer(size),
-		gatherer: newGatherer(size),
 		failure:  &failure{ch: make(chan struct{})},
 	}
 	for i := range w.boxes {
 		w.boxes[i] = &mailbox{}
 	}
+	w.coll.init(w, bounds, me)
 	return w, nil
 }
 
@@ -135,20 +151,9 @@ func (w *World) Err() error { return w.failure.Err() }
 // any, is aborted on every call.
 func (w *World) Fail(err error) {
 	w.failure.fail(err)
-	// Wake collective waiters. Broadcasting under each collective's lock
-	// closes the race against a waiter that checked Err just before
-	// entering cond.Wait (Wait releases the lock atomically, so holding it
-	// here means the waiter is either before the check or already parked).
-	w.barrier.mu.Lock()
-	w.barrier.cond.Broadcast()
-	w.barrier.mu.Unlock()
-	w.reducer.mu.Lock()
-	w.reducer.cond.Broadcast()
-	w.reducer.mu.Unlock()
-	w.gatherer.mu.Lock()
-	w.gatherer.cond.Broadcast()
-	w.gatherer.mu.Unlock()
-	// Point-to-point waiters select on failure.ch directly.
+	// Point-to-point waiters select on failure.ch; ranks blocked in a
+	// collective take a token.
+	w.coll.wake(nil)
 	if w.link != nil {
 		w.link.Abort()
 	}
@@ -214,10 +219,10 @@ func (w *World) Run(body func(c *Comm) error) error {
 type Comm struct {
 	world *World
 	rank  int
-	// scalarBuf is the resident one-element vector AllreduceScalar
-	// contributes through, so the scalar reductions on every solver
-	// iteration's hot path allocate nothing. A Comm handle belongs to one
-	// rank goroutine; collectives on it are never concurrent.
+	// scalarBuf is the resident one-element vector AllreduceScalar and
+	// AllgatherInt64 contribute through, so the scalar collectives on every
+	// solver iteration's hot path allocate nothing. A Comm handle belongs
+	// to one rank goroutine; collectives on it are never concurrent.
 	scalarBuf [1]float64
 }
 
@@ -244,7 +249,7 @@ type Request interface {
 }
 
 // request is a receive: one-shot (Irecv) or the resident request of a
-// persistent channel (RecvInit, CollRecvInit). Its matching state is
+// persistent channel (RecvInit, a collective's round edge). Its matching state is
 // guarded by the owning mailbox's lock.
 type request struct {
 	done chan struct{}
@@ -610,12 +615,6 @@ func (c *Comm) Recv(src, tag int, buf []float64) (int, error) {
 	return req.(*request).n, nil
 }
 
-// Barrier blocks until all ranks have entered it. On a failed world it
-// returns a *WorldError instead of blocking forever.
-func (c *Comm) Barrier() error {
-	return c.world.barrier.await(c.world.failure)
-}
-
 // ReduceOp selects the combining operation of Allreduce.
 type ReduceOp int
 
@@ -625,11 +624,10 @@ const (
 	OpMin
 )
 
-// Combine applies the reduction pairwise. Exported so every transport
-// (tcpmpi's dissemination collectives, future backends) folds with the
-// identical operation table — a transport-private copy could silently
-// diverge on a newly added op and break cross-transport bit-identity.
-// Unknown ops sum.
+// Combine applies the reduction pairwise. Exported so every fold — this
+// engine's collectives and any reference fold checked against them — uses
+// the identical operation table: a private copy could silently diverge on
+// a newly added op and break bit-identity. Unknown ops sum.
 func (op ReduceOp) Combine(a, b float64) float64 {
 	switch op {
 	case OpMax:
@@ -645,218 +643,4 @@ func (op ReduceOp) Combine(a, b float64) float64 {
 	default:
 		return a + b
 	}
-}
-
-// Allreduce combines in-vectors elementwise across all ranks and returns
-// the combined vector (the same backing array is returned to every rank;
-// callers must treat it as read-only, and it stays valid only until this
-// rank's next collective operation — the rounds reuse one resident result
-// buffer, so the steady-state reduction path allocates nothing). The
-// combine runs in canonical rank order 0,1,…,Size-1 once every rank has
-// contributed, so the result is bit-deterministic across runs — and
-// bit-identical to any other transport using the same canonical order
-// (tcpmpi's dissemination collectives do). Ranks must agree on the vector
-// length: a mismatch returns a *MismatchError to the offending rank and
-// fails the world, so peers blocked in the round observe a *WorldError.
-func (c *Comm) Allreduce(op ReduceOp, in []float64) ([]float64, error) {
-	res, err := c.world.reducer.allreduce(op, in, c.rank, c.world.failure)
-	if err != nil {
-		if _, ok := err.(*MismatchError); ok {
-			// Fail outside the reducer lock (allreduce has released it).
-			c.world.Fail(err)
-		}
-		return nil, err
-	}
-	return res, nil
-}
-
-// AllreduceScalar combines a single value across all ranks. It contributes
-// through the communicator's resident one-element buffer, so the scalar
-// reductions riding every solver iteration allocate nothing.
-func (c *Comm) AllreduceScalar(op ReduceOp, v float64) (float64, error) {
-	c.scalarBuf[0] = v
-	res, err := c.Allreduce(op, c.scalarBuf[:])
-	if err != nil {
-		return 0, err
-	}
-	return res[0], nil
-}
-
-// AllgatherInt64 gathers one int64 from every rank; the result is indexed
-// by rank, shared read-only across ranks, and valid until this rank's next
-// collective (the rounds alternate between two resident buffers).
-func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
-	return c.world.gatherer.gather(c.rank, v, c.world.failure)
-}
-
-// barrier is a reusable generation-counting barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	gen   uint64
-}
-
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await(f *failure) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := f.Err(); err != nil {
-		return &WorldError{Cause: err}
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		return nil
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-		if err := f.Err(); err != nil {
-			return &WorldError{Cause: err}
-		}
-	}
-	return nil
-}
-
-// reducer implements Allreduce by collecting every rank's vector and
-// combining them in canonical rank order when the round completes, so the
-// floating-point result is bit-deterministic regardless of arrival order.
-// A round cannot overlap the next because every rank participates exactly
-// once per round. Both the per-rank collection buffers AND the result
-// buffer persist across rounds (reductions sit on every solver iteration's
-// hot path), so a steady-state round allocates nothing. Reusing the result
-// is safe because every rank must contribute to round k+1 before its
-// combine can overwrite the buffer, and a rank can only do so after it has
-// consumed round k's result — hence the contract that the returned slice
-// is valid only until the rank's next collective.
-type reducer struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	gen   uint64
-	refLn int // vector length of the round's first arrival
-	vecs  [][]float64
-	res   []float64
-}
-
-func newReducer(size int) *reducer {
-	r := &reducer{size: size}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-// allreduce returns the combined vector, a *MismatchError for the rank
-// whose vector length disagrees with the round (the caller fails the world
-// afterwards, outside the reducer lock), or a *WorldError if the world
-// failed while this rank was blocked in the round.
-//
-//repro:noalloc
-func (r *reducer) allreduce(op ReduceOp, in []float64, rank int, f *failure) ([]float64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := f.Err(); err != nil {
-		return nil, &WorldError{Cause: err}
-	}
-	if r.count == 0 {
-		if r.vecs == nil {
-			r.vecs = make([][]float64, r.size) //repro:alloc-ok once-per-world collection table
-		}
-		r.refLn = len(in)
-	} else if len(in) != r.refLn {
-		return nil, &MismatchError{Got: len(in), Want: r.refLn}
-	}
-	buf := r.vecs[rank]
-	if cap(buf) < len(in) {
-		buf = make([]float64, len(in)) //repro:alloc-ok grow-once resident buffer
-	} else {
-		buf = buf[:len(in)]
-	}
-	copy(buf, in)
-	r.vecs[rank] = buf
-	r.count++
-	if r.count == r.size {
-		// Canonical rank-order combine: 0 ⊕ 1 ⊕ … ⊕ size-1, into the
-		// resident result buffer (distinct from the collection buffers).
-		if cap(r.res) < len(in) {
-			r.res = make([]float64, len(in)) //repro:alloc-ok grow-once resident buffer
-		}
-		acc := r.res[:len(in)]
-		copy(acc, r.vecs[0])
-		for q := 1; q < r.size; q++ {
-			for i, v := range r.vecs[q] {
-				acc[i] = op.Combine(acc[i], v)
-			}
-		}
-		r.count = 0
-		r.res = acc
-		r.gen++
-		r.cond.Broadcast()
-		return r.res, nil
-	}
-	gen := r.gen
-	for gen == r.gen {
-		r.cond.Wait()
-		if err := f.Err(); err != nil {
-			return nil, &WorldError{Cause: err}
-		}
-	}
-	return r.res, nil
-}
-
-// gatherer implements AllgatherInt64 analogously.
-type gatherer struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	gen   uint64
-	acc   []int64
-	res   []int64
-}
-
-func newGatherer(size int) *gatherer {
-	g := &gatherer{size: size}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-func (g *gatherer) gather(rank int, v int64, f *failure) ([]int64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := f.Err(); err != nil {
-		return nil, &WorldError{Cause: err}
-	}
-	if g.count == 0 && g.acc == nil {
-		g.acc = make([]int64, g.size)
-	}
-	g.acc[rank] = v
-	g.count++
-	if g.count == g.size {
-		g.count = 0
-		// Swap the accumulator and the previous result: callers may still
-		// read the last round's slice until their next collective, while
-		// the next round collects into the other buffer.
-		g.res, g.acc = g.acc, g.res
-		g.gen++
-		g.cond.Broadcast()
-		return g.res, nil
-	}
-	gen := g.gen
-	for gen == g.gen {
-		g.cond.Wait()
-		if err := f.Err(); err != nil {
-			return nil, &WorldError{Cause: err}
-		}
-	}
-	return g.res, nil
 }

@@ -675,3 +675,31 @@ func TestNilRequestWait(t *testing.T) {
 		t.Errorf("Waitall of nil requests: %v", err)
 	}
 }
+
+// BenchmarkAllreduceLocal is one scalar allreduce on every rank of an
+// all-local five-rank world.
+func BenchmarkAllreduceLocal(b *testing.B) {
+	const ranks = 5
+	w, err := NewWorld(ranks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ReportAllocs()
+	if err := w.Run(func(c *Comm) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := c.AllreduceScalar(OpSum, float64(c.Rank())); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -8,10 +8,11 @@ import (
 // The seam a multi-process transport (internal/tcpmpi) builds on. Its
 // process holds a range of a world's ranks in a World from NewRangeWorld;
 // the engine matches and buffers for them exactly as for an all-local
-// world, and the transport supplies only the wire: a Link that carries
-// sends to ranks elsewhere, Claim/Done to file what arrives, and Depart
-// when a peer process leaves. Its collectives are its own, over
-// CollRecvInit and CollSend in a matching namespace apart from user tags.
+// world, and runs their collectives (collective.go), whose wire rounds go
+// leader to leader in a matching namespace apart from user tags. The
+// transport supplies only the wire and its policy: a Link that carries
+// sends to ranks elsewhere and bounds collective waits, Claim/Done to
+// file what arrives, and Depart when a peer process leaves.
 
 // Link carries a range world's traffic to the ranks it does not hold.
 type Link interface {
@@ -24,6 +25,28 @@ type Link interface {
 	// Abort releases the link's resources once the world has failed. Every
 	// Fail calls it, so it must be idempotent.
 	Abort()
+	// Await blocks local rank `rank` on s, one wait inside a collective,
+	// under the transport's wait policy, and returns s's error. A policy
+	// that gives up on s names s.Suspect in an error of its own, fails the
+	// world with it and returns it.
+	Await(rank int, s Step) error
+}
+
+// Step is one wait inside a collective: a local rank waiting for its round
+// to complete, or the wire rank waiting on a round edge from another
+// process's leader.
+type Step interface {
+	// Wait blocks until the step completes and returns its error, or a
+	// *WorldError if the world fails first. It gives up when timeout fires
+	// first and reports timedOut, without consuming the completion. A nil
+	// timeout never fires.
+	Wait(timeout <-chan time.Time) (err error, timedOut bool)
+	// Suspect names the ranks [lo, hi) the step is waiting on: for a round
+	// edge (remote true) the source process's ranks, for a local rank the
+	// first local rank that has not entered the round. It is empty when
+	// no one is to blame: every local rank has entered, and the round is
+	// on the wire, where its own edges are bounded.
+	Suspect() (lo, hi int, remote bool)
 }
 
 // Inbound is a message from another process on its way into local memory:
@@ -125,36 +148,4 @@ func (w *World) Depart(lo, hi int) {
 		})
 		box.mu.Unlock()
 	}
-}
-
-// CollRecv is a persistent receive in the collective namespace, where a
-// transport's collectives match apart from user tags. Unlike RecvInit's
-// channel it binds its buffer per Start, so one channel serves rounds of
-// every length.
-type CollRecv struct{ p precv }
-
-// CollRecvInit creates a collective-namespace persistent receive from rank
-// src under tag. It is inert until its first Start.
-func (c *Comm) CollRecvInit(src, tag int) *CollRecv {
-	return &CollRecv{p: c.newPrecv(src, tag, true, nil)}
-}
-
-// Start posts the receive into buf; the rules are PersistentRequest's.
-func (r *CollRecv) Start(buf []float64) error { return r.p.startInto(buf) }
-
-// Wait blocks like PersistentRequest.Wait, but gives up when timeout fires
-// first and reports timedOut without consuming the completion. A nil
-// timeout never fires.
-func (r *CollRecv) Wait(timeout <-chan time.Time) (err error, timedOut bool) {
-	return r.p.req.waitTimer(timeout)
-}
-
-// Len returns the number of elements the last completed transfer
-// delivered.
-func (r *CollRecv) Len() int { return r.p.req.n }
-
-// CollSend sends data to rank dst in the collective namespace under tag,
-// with Isend's buffered semantics.
-func (c *Comm) CollSend(dst, tag int, data []float64) error {
-	return c.world.send("CollSend", c.rank, dst, tag, true, data, nil)
 }

@@ -446,8 +446,8 @@ func (p *psend) Wait() error {
 	return p.inner.Wait()
 }
 
-// Collective entries count as outbound operations (each one sends up the
-// tree or into the reducer), then pass through to the inner runtime.
+// Collective entries count as outbound operations (each one contributes a
+// vector to its round), then pass through to the inner runtime.
 
 func (c *comm) Barrier() error {
 	if err := c.w.beforeOp(c.rank); err != nil {

@@ -201,3 +201,61 @@ func TestAllocGateUnmatchedIsend(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocGateScalarAllreduceTwoProcs pins the two-level collective at
+// zero steady-state allocations per round: five ranks in two processes,
+// [0,3) and [3,5), with the collective deadline armed, so every round
+// runs the local phase, one leader edge each way and the resident
+// deadline timers of the waiting ranks.
+func TestAllocGateScalarAllreduceTwoProcs(t *testing.T) {
+	const ranks = 5
+	worlds := dialSplitWith(t, ranks, [][2]int{{0, 3}, {3, 5}}, func(_ int, tr *tcpmpi.Transport) {
+		tr.CollectiveTimeout = 10 * time.Second
+	})
+	cs := comms(t, worlds, ranks)
+	// Lockstep rounds driven from goroutines; the measured function runs
+	// whole rounds, so every participant's allocations land inside it.
+	start := make(chan struct{})
+	done := make(chan float64, ranks-1)
+	stop := make(chan struct{})
+	for r := 1; r < ranks; r++ {
+		go func(c core.Comm) {
+			for {
+				select {
+				case <-stop:
+					return
+				case <-start:
+				}
+				v, err := c.AllreduceScalar(core.OpSum, 1)
+				if err != nil {
+					v = -1
+				}
+				done <- v
+			}
+		}(cs[r])
+	}
+	defer close(stop)
+	round := func() {
+		for r := 1; r < ranks; r++ {
+			start <- struct{}{}
+		}
+		v, err := cs[0].AllreduceScalar(core.OpSum, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != ranks {
+			t.Fatalf("sum = %g, want %d", v, ranks)
+		}
+		for r := 1; r < ranks; r++ {
+			if got := <-done; got != ranks {
+				t.Fatalf("peer sum = %g, want %d", got, ranks)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("scalar allreduce allocates %.1f objects per round, want 0", allocs)
+	}
+}

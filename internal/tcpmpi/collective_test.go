@@ -208,15 +208,21 @@ func TestCollectiveLengthDisagreementIsMismatchError(t *testing.T) {
 }
 
 // BenchmarkAllreduceTCP is one scalar allreduce on every rank of a
-// loopback world, one endpoint per rank: ⌈log₂P⌉ one-way hops.
+// loopback world: one endpoint per rank (⌈log₂P⌉ one-way hops), and five
+// ranks held by two processes and by one.
 func BenchmarkAllreduceTCP(b *testing.B) {
-	for _, size := range []int{2, 5} {
-		b.Run(fmt.Sprintf("ranks=%d", size), func(b *testing.B) {
-			splits := make([][2]int, size)
-			for r := range splits {
-				splits[r] = [2]int{r, r + 1}
-			}
-			cs := comms(b, dialSplit(b, size, splits), size)
+	for _, shape := range []struct {
+		name   string
+		splits [][2]int
+	}{
+		{"ranks=2", [][2]int{{0, 1}, {1, 2}}},
+		{"ranks=5", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}},
+		{"ranks=5/procs=2", [][2]int{{0, 3}, {3, 5}}},
+		{"ranks=5/procs=1", [][2]int{{0, 5}}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			size := shape.splits[len(shape.splits)-1][1]
+			cs := comms(b, dialSplit(b, size, shape.splits), size)
 			b.ReportAllocs()
 			if err := spmd(cs, func(c core.Comm) error {
 				// One round outside the clock creates the resident scratch

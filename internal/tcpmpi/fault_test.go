@@ -252,6 +252,42 @@ func TestCollectiveDeadlineNamesHungRank(t *testing.T) {
 	}
 }
 
+// TestCollectiveDeadlineNamesHungLocalRank: five ranks in two processes,
+// [0,3) and [3,5), and rank 4 never enters the reduction. Rank 3 waits for
+// it inside its own process, under the same deadline as a round edge, and
+// names rank 4 — the rank, not only its process. The other process learns
+// of it through that failure and reports a *core.PeerError whose ranks
+// hold rank 4. Its own deadline is longer, so that the hung rank's process
+// is the first to fire.
+func TestCollectiveDeadlineNamesHungLocalRank(t *testing.T) {
+	worlds := dialSplitWith(t, 5, [][2]int{{0, 3}, {3, 5}}, func(i int, tr *tcpmpi.Transport) {
+		tr.CollectiveTimeout = 100 * time.Millisecond
+		if i == 0 {
+			tr.CollectiveTimeout = 10 * time.Second
+		}
+	})
+	cs := comms(t, worlds, 5)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for r := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[r] = cs[r].AllreduceScalar(core.OpSum, 1) // rank 4 never contributes
+		}()
+	}
+	wg.Wait()
+	var pe *core.PeerError
+	if !errors.As(errs[3], &pe) || pe.RankLo != 4 || pe.RankHi != 5 || pe.Phase != core.PhaseCollective {
+		t.Fatalf("rank 3 got %v, want a *core.PeerError naming [4,5) in phase %q", errs[3], core.PhaseCollective)
+	}
+	for r := 0; r < 3; r++ {
+		if !errors.As(errs[r], &pe) || pe.RankLo > 4 || pe.RankHi <= 4 {
+			t.Errorf("rank %d got %v, want a *core.PeerError whose ranks hold rank 4", r, errs[r])
+		}
+	}
+}
+
 // TestHeartbeatKeepsQuietWorldAlive pins the no-false-positive side: two
 // healthy endpoints exchanging NO application traffic for many timeout
 // spans stay alive (their mutual pings refresh the liveness clocks), and

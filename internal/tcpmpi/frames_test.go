@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -73,10 +75,17 @@ func tcpConnPair(t *testing.T) [2]net.Conn {
 // frames it reads into counters[i].
 func linkWorlds(t *testing.T, conns [2]net.Conn, counters *[2]frameCounter) [2]*world {
 	t.Helper()
-	procs := []procInfo{{RankLo: 0, RankHi: 1}, {RankLo: 1, RankHi: 2}}
+	return linkSplit(t, [2][2]int{{0, 1}, {1, 2}}, conns, counters)
+}
+
+// linkSplit is linkWorlds for a world whose two endpoints hold the rank
+// ranges splits[0] and splits[1].
+func linkSplit(t *testing.T, splits [2][2]int, conns [2]net.Conn, counters *[2]frameCounter) [2]*world {
+	t.Helper()
+	procs := []procInfo{{RankLo: splits[0][0], RankHi: splits[0][1]}, {RankLo: splits[1][0], RankHi: splits[1][1]}}
 	var out [2]*world
 	for i := range out {
-		w, err := newWorld(2, i, i+1, procs, i)
+		w, err := newWorld(splits[1][1], splits[i][0], splits[i][1], procs, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,6 +176,103 @@ func TestScalarAllreduceAtTwoRanksWritesOneFramePerRank(t *testing.T) {
 		// returns, so the counts are final here.
 		if got := read[1-i].frames.Load(); got != rounds {
 			t.Errorf("rank %d wrote %d frames in %d scalar allreduces, want one each", i, got, rounds)
+		}
+	}
+}
+
+// localComms returns the communicators of every rank the worlds hold.
+func localComms(t *testing.T, worlds ...*world) []core.Comm {
+	t.Helper()
+	var cs []core.Comm
+	for _, w := range worlds {
+		for _, r := range w.LocalRanks() {
+			c, err := w.Comm(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// collectiveKinds are the collectives, each checked on its own result.
+var collectiveKinds = []struct {
+	name string
+	run  func(c core.Comm) error
+}{
+	{"Allreduce", func(c core.Comm) error {
+		res, err := c.Allreduce(core.OpSum, []float64{1, float64(c.Rank())})
+		if err == nil && (res[0] != float64(c.Size()) || res[1] != float64(c.Size()*(c.Size()-1)/2)) {
+			err = fmt.Errorf("rank %d: sums %v", c.Rank(), res)
+		}
+		return err
+	}},
+	{"Barrier", func(c core.Comm) error { return c.Barrier() }},
+	{"AllgatherInt64", func(c core.Comm) error {
+		g, err := c.AllgatherInt64(int64(-c.Rank()))
+		for r, v := range g {
+			if v != int64(-r) {
+				return fmt.Errorf("rank %d: gather[%d] = %d", c.Rank(), r, v)
+			}
+		}
+		return err
+	}},
+}
+
+// runRounds runs the collective rounds times on every communicator, one
+// goroutine per rank.
+func runRounds(cs []core.Comm, rounds int, run func(c core.Comm) error) error {
+	errs := make([]error, len(cs))
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds && errs[i] == nil; k++ {
+				errs[i] = run(c)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// A process writes one frame per dissemination round however many ranks
+// it holds: with five ranks in two processes, [0,3) and [3,5), every
+// collective writes Q·⌈log₂Q⌉ = 2 frames, one per process, counted where
+// the peer reads them. A one-process world holds every rank, has no peer
+// to write to, and completes its collectives in shared memory.
+func TestCollectiveFramesPerProcess(t *testing.T) {
+	var read [2]frameCounter
+	worlds := linkSplit(t, [2][2]int{{0, 3}, {3, 5}}, tcpConnPair(t), &read)
+	cs := localComms(t, worlds[0], worlds[1])
+	const rounds = 20
+	for _, kind := range collectiveKinds {
+		before := [2]int64{read[0].frames.Load(), read[1].frames.Load()}
+		if err := runRounds(cs, rounds, kind.run); err != nil {
+			t.Fatalf("%s: %v", kind.name, err)
+		}
+		// A process's last frame is read before its peer's collective
+		// returns, so the counts are final here.
+		for i := range read {
+			if got := read[i].frames.Load() - before[i]; got != rounds {
+				t.Errorf("%s: process %d wrote %d frames in %d collectives, want one each", kind.name, 1-i, got, rounds)
+			}
+		}
+	}
+
+	one, err := newWorld(5, 0, 5, []procInfo{{RankLo: 0, RankHi: 5}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { one.Close() })
+	if len(one.conns) != 1 || one.conns[0] != nil {
+		t.Fatalf("a one-process world has connections %v", one.conns)
+	}
+	for _, kind := range collectiveKinds {
+		if err := runRounds(localComms(t, one), rounds, kind.run); err != nil {
+			t.Fatalf("one process, %s: %v", kind.name, err)
 		}
 	}
 }

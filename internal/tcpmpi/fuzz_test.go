@@ -20,8 +20,8 @@ const fuzzMaxElems = 1 << 12
 
 // readFrames drives one connection's read path over data, as process 0
 // of a two-rank world talking to the endpoint that owns rank 1, where a
-// user receive (from 0, tag 1, four elements) and a collective one (from
-// 0, tag 0, two elements) are posted. It serves frames until
+// user receive (from 0, tag 1, four elements) is posted. It serves frames
+// until
 // receiveFrame returns an error — data always ends — and returns that
 // error.
 func readFrames(t testing.TB, data []byte) error {
@@ -34,9 +34,6 @@ func readFrames(t testing.TB, data []byte) error {
 		t.Fatal(err)
 	}
 	if _, err := c.Irecv(0, 1, make([]float64, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CollRecvInit(0, 0).Start(make([]float64, 2)); err != nil {
 		t.Fatal(err)
 	}
 	local, peer := net.Pipe()

@@ -22,10 +22,11 @@ import (
 //     the connection's EWMA — a per-process link health signal that needs
 //     no application traffic at all;
 //   - collective-edge latency: each round edge's receive wait (round k of
-//     a collective always receives from rank+2ᵏ; see exchange) is folded
-//     into the edge's own EWMA — a per-RANK signal that catches a rank
-//     whose process is healthy but whose contribution is consistently
-//     late.
+//     a collective always receives from the leader of the process 2ᵏ
+//     ahead; see chanmpi's collective.go) is folded into that source
+//     process's edge EWMA (Await) — a per-process-edge signal that catches
+//     a process whose connection is healthy but whose contribution, sent
+//     once its last rank has entered, is consistently late.
 //
 // A sample is suspect when it exceeds SlowFactor × the link's prior EWMA,
 // is at least SlowFloor (so microsecond noise can't trip it), and the EWMA

@@ -4,10 +4,12 @@
 // message-passing world over length-prefixed binary frames. A process's
 // ranks live in a chanmpi range world, so point-to-point traffic, local or
 // framed, is matched per (source, tag) in posting order by the same engine
-// as the in-process runtime; tcpmpi supplies the wire. The collectives are a
-// dissemination allgather in ⌈log₂P⌉ rounds followed by canonical
-// rank-order combining on every rank, so distributed solves are
-// bit-identical to their in-process counterparts.
+// as the in-process runtime, and that engine runs the collectives too: a
+// process's ranks combine in shared memory, and one rank per process runs
+// a dissemination allgather in ⌈log₂Q⌉ rounds over the Q processes, leader
+// to leader, before canonical rank-order combining — so distributed solves
+// are bit-identical to their in-process counterparts. tcpmpi supplies the
+// wire and the policy that bounds collective waits.
 //
 // Bring-up: the coordinator process listens on Addr; every worker process
 // dials it and announces its rank range, the coordinator validates that
@@ -68,20 +70,22 @@ type Transport struct {
 	// suspect (default 4 × HeartbeatInterval). It must comfortably exceed
 	// the interval, or healthy peers' ping cadence will trip it.
 	HeartbeatTimeout time.Duration
-	// CollectiveTimeout, when positive, bounds each round's receive inside
-	// the collectives (round k receives from rank+2ᵏ — the round edge): a
-	// rank whose contribution does not arrive
-	// within the deadline is named hung in a *core.PeerError and the
-	// world fails, instead of the collective blocking forever. It is the
-	// complement of the heartbeat: heartbeats catch dead or frozen
-	// PROCESSES, the deadline catches a live process whose RANK never
-	// enters the collective. Set it above the slowest legitimate
-	// inter-collective compute span.
+	// CollectiveTimeout, when positive, bounds each wait inside the
+	// collectives: a round edge between process leaders (round k receives
+	// from the leader of the process 2ᵏ ahead), and a rank's wait for the
+	// other ranks of its process to enter. A contribution that does not
+	// arrive within the deadline fails the world with a *core.PeerError
+	// naming the hung ranks — the edge's source process, or the first
+	// local rank that never entered — instead of the collective blocking
+	// forever. It is the complement of the heartbeat: heartbeats catch
+	// dead or frozen PROCESSES, the deadline catches a live process whose
+	// RANK never enters the collective. Set it above the slowest
+	// legitimate inter-collective compute span.
 	CollectiveTimeout time.Duration
 	// SlowFactor, when positive, enables slow-peer suspicion — the
 	// gray-failure detector for peers that are alive but degraded (see
 	// slow.go). Every link keeps an EWMA of its ping round-trips and of
-	// each collective round edge's receive wait; a sample exceeding
+	// its collective round edge's receive wait; a sample exceeding
 	// SlowFactor × the link's prior EWMA (and at least SlowFloor, after
 	// SlowMinSamples of warm-up) declares the peer suspect with a
 	// *core.PeerError in phase "slow" — distinct from every dead-peer
@@ -196,7 +200,14 @@ func (t *Transport) Dial(ctx context.Context, size int) (core.World, error) {
 // world and starts the heartbeat monitor if enabled. Both dial paths call
 // it last, after every connection's reader is running.
 func (t *Transport) finishWorld(w *world) *world {
-	w.collTimeout = t.CollectiveTimeout
+	if t.CollectiveTimeout > 0 {
+		w.collTimeout = t.CollectiveTimeout
+		w.deadlines = make([]*time.Timer, w.hi-w.lo)
+		for i := range w.deadlines {
+			w.deadlines[i] = time.NewTimer(t.CollectiveTimeout)
+			w.deadlines[i].Stop()
+		}
+	}
 	if t.SlowFactor > 0 {
 		w.slow = slowConfig{
 			factor:     t.SlowFactor,

@@ -37,6 +37,13 @@ func freeAddr(t testing.TB) string {
 // the first endpoint coordinates.
 func dialSplit(t testing.TB, size int, splits [][2]int) []core.World {
 	t.Helper()
+	return dialSplitWith(t, size, splits, nil)
+}
+
+// dialSplitWith is dialSplit with mutate applied to each endpoint's
+// transport before it dials.
+func dialSplitWith(t testing.TB, size int, splits [][2]int, mutate func(i int, tr *tcpmpi.Transport)) []core.World {
+	t.Helper()
 	addr := freeAddr(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	t.Cleanup(cancel)
@@ -48,6 +55,9 @@ func dialSplit(t testing.TB, size int, splits [][2]int) []core.World {
 		go func(i int, lo, hi int) {
 			defer wg.Done()
 			tr := &tcpmpi.Transport{Addr: addr, Coordinate: i == 0, RankLo: lo, RankHi: hi}
+			if mutate != nil {
+				mutate(i, tr)
+			}
 			worlds[i], errs[i] = tr.Dial(ctx, size)
 		}(i, s[0], s[1])
 	}

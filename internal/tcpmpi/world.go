@@ -14,9 +14,10 @@ import (
 
 // world is one process's endpoint of a multi-process TCP world: the local
 // rank range [lo, hi), held in a chanmpi range world that does all the
-// matching and buffering, and one connection per peer process, each
-// drained by a dedicated reader goroutine. world is the engine's Link:
-// sends to ranks in other processes leave as frames through it. The reader
+// matching, buffering and collectives, and one connection per peer
+// process, each drained by a dedicated reader goroutine. world is the
+// engine's Link: sends to ranks in other processes leave as frames through
+// it, and collective waits are bounded by its policy (Await). The reader
 // goroutines give the transport genuinely asynchronous progress: frames
 // move off the wire whether or not any rank is inside a communication
 // call (see README.md for how this relates to §3 of the paper).
@@ -32,16 +33,23 @@ type world struct {
 	departed []atomic.Bool // by process index: announced a graceful Close (BYE)
 
 	// hbInterval/hbTimeout configure the heartbeat monitor (zero interval:
-	// disabled); collTimeout bounds each collective round's receive (zero:
+	// disabled); collTimeout bounds each wait inside a collective (zero:
 	// unbounded). All are fixed at bring-up by the Transport.
 	hbInterval  time.Duration
 	hbTimeout   time.Duration
 	collTimeout time.Duration
+	// deadlines[r-lo] is local rank r's resident collective deadline timer,
+	// Reset per wait — Go's post-1.23 timer semantics guarantee a Reset
+	// discards any stale fire, so the steady-state wait allocates nothing.
+	// Nil without a collTimeout.
+	deadlines []*time.Timer
 
-	// slow is the slow-peer suspicion policy (see slow.go); slowSuspect,
-	// by process index, debounces the advisory hook per degradation
-	// episode.
+	// slow is the slow-peer suspicion policy (see slow.go); by process
+	// index, edgeLat is the EWMA of the collective round edge from that
+	// process's leader, and slowSuspect debounces the advisory hook per
+	// degradation episode.
 	slow        slowConfig
+	edgeLat     []latEwma
 	slowSuspect []atomic.Bool
 
 	closing   atomic.Bool
@@ -59,9 +67,11 @@ func newWorld(size, lo, hi int, procs []procInfo, me int) (*world, error) {
 		rankProc:    make([]int, size),
 		conns:       make([]*peerConn, len(procs)),
 		departed:    make([]atomic.Bool, len(procs)),
+		edgeLat:     make([]latEwma, len(procs)),
 		slowSuspect: make([]atomic.Bool, len(procs)),
 	}
 	covered := 0
+	bounds := make([]int, len(procs)+1)
 	for p, pi := range procs {
 		if pi.RankLo != covered || pi.RankHi <= pi.RankLo || pi.RankHi > size {
 			return nil, fmt.Errorf("tcpmpi: roster does not tile [0,%d): process %d owns [%d,%d)", size, p, pi.RankLo, pi.RankHi)
@@ -69,15 +79,17 @@ func newWorld(size, lo, hi int, procs []procInfo, me int) (*world, error) {
 		for r := pi.RankLo; r < pi.RankHi; r++ {
 			w.rankProc[r] = p
 		}
+		bounds[p] = pi.RankLo
 		covered = pi.RankHi
 	}
+	bounds[len(procs)] = size
 	if covered != size {
 		return nil, fmt.Errorf("tcpmpi: roster covers %d of %d ranks", covered, size)
 	}
 	if me < 0 || me >= len(procs) || procs[me].RankLo != lo || procs[me].RankHi != hi {
 		return nil, fmt.Errorf("tcpmpi: roster disagrees with local rank range [%d,%d)", lo, hi)
 	}
-	eng, err := chanmpi.NewRangeWorld(size, lo, hi, w)
+	eng, err := chanmpi.NewRangeWorld(bounds, me, w)
 	if err != nil {
 		return nil, err
 	}
@@ -124,11 +136,7 @@ func (w *world) Comm(rank int) (core.Comm, error) {
 	if rank < w.lo || rank >= w.hi {
 		return nil, fmt.Errorf("tcpmpi: rank %d is not local to this process (owns [%d,%d))", rank, w.lo, w.hi)
 	}
-	ec, err := w.eng.Comm(rank)
-	if err != nil {
-		return nil, err
-	}
-	return &comm{Comm: ec, w: w}, nil
+	return w.eng.Comm(rank)
 }
 
 // Close shuts the endpoint down gracefully: a BYE frame is written to
@@ -317,24 +325,57 @@ func (w *world) Send(src, dst, tag int, coll bool, data []float64) error {
 	return nil
 }
 
-// comm is one local rank's communicator handle, satisfying core.Comm: the
-// engine's communicator for point-to-point traffic, and the dissemination
-// collectives of collective.go in place of the engine's shared-memory
-// ones. It carries the rank's resident collective scratch, so a handle
-// belongs to one rank goroutine; the Cluster obtains one per local rank
-// and keeps it.
-type comm struct {
-	*chanmpi.Comm
-	w *world
-	// scalarBuf is the resident one-element contribution vector of the
-	// scalar collectives.
-	scalarBuf [1]float64
-	cs        collScratch
+// Await waits for one step of a collective that local rank `rank` is
+// blocked in (chanmpi.Link contract). With Transport.CollectiveTimeout set
+// the wait is bounded: a step still incomplete at the deadline fails the
+// world with a *core.PeerError in the collective phase naming the ranks it
+// waits on — the source process of a round edge, alive (its connection
+// pings) but with a rank stuck outside the collective, or the first local
+// rank that never entered it. A local step with no one left to name waits
+// on: the round is on the wire, whose edges are bounded themselves. With
+// Transport.SlowFactor set, each round edge's wait feeds the EWMA of its
+// source process's edge (see slow.go).
+//
+//repro:noalloc
+func (w *world) Await(rank int, s chanmpi.Step) error {
+	var start time.Time
+	if w.slow.enabled() {
+		start = time.Now()
+	}
+	var err error
+	if d := w.collTimeout; d > 0 {
+		t := w.deadlines[rank-w.lo]
+		t.Reset(d)
+		var timedOut bool
+		if err, timedOut = s.Wait(t.C); !timedOut {
+			t.Stop()
+		} else if lo, hi, edge := s.Suspect(); lo < hi {
+			var why error
+			if edge {
+				why = fmt.Errorf("tcpmpi: no contribution on round edge %d→%d within %v", lo, w.lo, d)
+			} else {
+				why = fmt.Errorf("tcpmpi: rank %d did not enter the collective within %v", lo, d)
+			}
+			perr := &core.PeerError{RankLo: lo, RankHi: hi, Phase: core.PhaseCollective, Err: why}
+			w.Fail(perr)
+			return perr
+		} else {
+			err, _ = s.Wait(nil)
+		}
+	} else {
+		err, _ = s.Wait(nil)
+	}
+	if err == nil && w.slow.enabled() {
+		if lo, hi, edge := s.Suspect(); edge {
+			proc := w.rankProc[lo]
+			w.observeLinkLatency(proc, lo, hi, "collective edge", &w.edgeLat[proc], time.Since(start))
+		}
+	}
+	return err
 }
 
 // Interface satisfaction checks.
 var (
-	_ core.Comm    = (*comm)(nil)
 	_ core.World   = (*world)(nil)
 	_ chanmpi.Link = (*world)(nil)
 )
