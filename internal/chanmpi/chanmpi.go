@@ -249,8 +249,8 @@ type Request interface {
 }
 
 // request is a receive: one-shot (Irecv) or the resident request of a
-// persistent channel (RecvInit, a collective's round edge). Its matching state is
-// guarded by the owning mailbox's lock.
+// persistent channel (RecvInit, a collective's round edge). Its matching
+// state is guarded by the owning mailbox's lock.
 type request struct {
 	done chan struct{}
 	fail *failure
