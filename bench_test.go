@@ -188,8 +188,8 @@ func BenchmarkRowKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkFormats compares CRS against ELLPACK and JDS on the HMeP
-// matrix — substantiating §1.2's choice of CRS as "the most efficient
+// BenchmarkFormats compares the two formats the runtime runs, CRS and
+// SELL-C-σ, on the HMeP matrix — §1.2 chooses CRS as "the most efficient
 // format for general sparse matrices on cache-based microprocessors".
 func BenchmarkFormats(b *testing.B) {
 	b.ReportAllocs()
@@ -200,28 +200,6 @@ func BenchmarkFormats(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			spmv.Serial(y, a, x)
-		}
-		reportSpmv(b, a.Nnz())
-	})
-	b.Run("ELLPACK", func(b *testing.B) {
-		b.ReportAllocs()
-		e, err := formats.NewELLPACK(a, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(e.PaddingRatio(a.Nnz()), "padding-ratio")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.MulVec(y, x)
-		}
-		reportSpmv(b, a.Nnz())
-	})
-	b.Run("JDS", func(b *testing.B) {
-		b.ReportAllocs()
-		j := formats.NewJDS(a)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j.MulVec(y, x)
 		}
 		reportSpmv(b, a.Nnz())
 	})
@@ -311,45 +289,6 @@ func BenchmarkTeamBarrier(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				team.Exec(region)
 			}
-		})
-	}
-}
-
-// BenchmarkSymmetricKernel measures the §1.3.1 symmetric-storage variant:
-// roughly half the matrix traffic against the full CRS kernel, at the cost
-// of the scatter-reduction — the routine the paper said was missing for
-// shared memory.
-func BenchmarkSymmetricKernel(b *testing.B) {
-	b.ReportAllocs()
-	a := holsteinSmall(b, genmat.HMeP)
-	x := randomX(a.NumCols)
-	y := make([]float64, a.NumRows)
-	s, err := spmv.NewSymmetricFromFull(a, 1e-12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("full/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			team := spmv.NewTeam(workers)
-			defer team.Close()
-			p := spmv.NewParallel(a, workers)
-			for i := 0; i < b.N; i++ {
-				p.MulVec(team, y, x)
-			}
-			reportSpmv(b, a.Nnz())
-		})
-		b.Run(fmt.Sprintf("symmetric/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			team := spmv.NewTeam(workers)
-			defer team.Close()
-			sp := spmv.NewSymmetricParallel(s, workers)
-			b.ReportMetric(float64(s.Nnz())/float64(a.Nnz()), "stored-fraction")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sp.MulVec(team, y, x)
-			}
-			reportSpmv(b, a.Nnz())
 		})
 	}
 }
@@ -475,8 +414,8 @@ func BenchmarkDistributedModesSELL(b *testing.B) {
 
 // BenchmarkClusterReuse quantifies what the session API buys: one
 // multiplication on a resident core.Cluster (rank goroutines, teams, halo
-// buffers reused) against the deprecated per-call path that spawns a fresh
-// world + teams for every MulDistributed. The matrix is deliberately small
+// buffers reused) against a throwaway cluster per multiplication, which
+// spawns a fresh world + teams every call. The matrix is deliberately small
 // so setup dominates — the shape of a solver iteration, where the
 // multiplication itself is cheap and the runtime must already be there.
 func BenchmarkClusterReuse(b *testing.B) {
@@ -513,7 +452,14 @@ func BenchmarkClusterReuse(b *testing.B) {
 	b.Run("per-call-world", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.MulDistributed(plan, x, core.TaskMode, threads, 1)
+			cl, err := core.NewCluster(plan, core.WithMode(core.TaskMode), core.WithThreads(threads))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cl.Mul(y, x, 1); err != nil {
+				b.Fatal(err)
+			}
+			cl.Close()
 		}
 		reportSpmv(b, a.Nnz())
 	})

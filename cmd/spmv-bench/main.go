@@ -290,8 +290,8 @@ func measure(matrixName, kernel string, workers int, nnz int64, reps int, fn fun
 // JSON — one file per PR (BENCH_<n>.json) tracks the repo's performance
 // trajectory. The distributed sweep runs on one resident core.Cluster per
 // fixture (modes switch with SetMode, formats with Convert), plus one
-// "dist-…-percall" reference point that pays the deprecated per-call world
-// spawn, quantifying what session reuse saves. modes and sweepFormats
+// "dist-…-percall" reference point that brings up a throwaway cluster per
+// multiplication, quantifying what session reuse saves. modes and sweepFormats
 // restrict the sweep (the -mode and -format flags); pass core.Modes and
 // the default builder pair for the full matrix.
 func writeSnapshot(path string, workers, reps int, modes []core.Mode, sweepFormats []matrix.FormatBuilder, transport core.TransportKind) error {
@@ -376,15 +376,24 @@ func writeSnapshot(path string, workers, reps int, modes []core.Mode, sweepForma
 				return nil
 			}
 			// Reference point while the plan is still CSR: the same
-			// multiplication through the deprecated per-call shim, paying
-			// world + team spawn each call. The gap to the resident
-			// dist-…-crs numbers is the session API's reuse win.
+			// multiplication on a throwaway cluster, paying world + team
+			// spawn each call. The gap to the resident dist-…-crs numbers
+			// is the session API's reuse win.
 			snap.Kernels = append(snap.Kernels, measure(
 				fx.name,
 				fmt.Sprintf("dist-%s-crs-percall", modes[0]),
 				distRanks*distThreads,
 				a.Nnz(), reps,
-				func() { core.MulDistributed(world.plans[0], x, modes[0], distThreads, 1) },
+				func() {
+					cl, err := core.NewCluster(world.plans[0], core.WithMode(modes[0]), core.WithThreads(distThreads))
+					if err != nil {
+						panic(err)
+					}
+					defer cl.Close()
+					if err := cl.Mul(y, x, 1); err != nil {
+						panic(err)
+					}
+				},
 			))
 			for _, b := range sweepFormats {
 				if err := world.convert(b); err != nil {

@@ -73,32 +73,6 @@
 // examples/tcp (the CI tcp-smoke job) verifies a two-OS-process DistCG
 // bit-identical to the in-process solve.
 //
-// Migration from the v1 transport surface (PR 3) to Comm v2:
-//
-//	Transport.Connect(size) ([]Comm, error)   → Transport.Dial(ctx, size) (World, error);
-//	                                            World.LocalRanks / World.Comm(rank) / World.Close
-//	Comm.Isend/Irecv(…) Request               → Comm.Isend/Irecv(…) (Request, error)
-//	Request.Wait() int (panics on failure)    → Request.Wait() error
-//	Comm.Waitall(reqs…) / Barrier()           → both return error
-//	Comm.Allreduce / AllreduceScalar /        → all return (value, error)
-//	Comm.AllgatherInt64
-//	Worker.Step(mode)                         → Worker.Step(mode) error
-//	Cluster.Run(func(w *Worker))              → Cluster.Run(func(w *Worker) error) error
-//	chanmpi panics (invalid rank, truncation, → typed errors: RankError, TruncationError,
-//	  Allreduce length mismatch, failed world)  MismatchError, WorldError (re-exported by core);
-//	                                            a failed rank fails the world, peers unwedge
-//
-// Migration from the deprecated per-call entry points (each is now a thin,
-// bit-identical shim over a throwaway Cluster):
-//
-//	core.MulDistributed(plan, x, mode, t, iters) → core.NewCluster(plan, core.WithMode(mode), core.WithThreads(t));
-//	                                               cluster.Mul(y, x, iters)
-//	core.RunSPMD(plan, t, body)                  → core.NewCluster(plan, core.WithThreads(t)); cluster.Run(body)
-//	core.NewWorker(rp, comm, t)                  → owned by the Cluster; use Cluster.Run to reach Workers
-//	solver.DistCG(plan, b, x, mode, t, …)        → solver.DistCG(cluster, b, x, …)
-//	solver.DistLanczos(plan, mode, t, m, seed)   → solver.DistLanczos(cluster, m, seed)
-//	solver.DistOperator{Plan, Mode, Threads}     → solver.DistOperator{Cluster: cluster}
-//
 // # Steady-state performance contract
 //
 // The paper's workloads run thousands of back-to-back spMVM iterations,
@@ -302,11 +276,11 @@
 //
 // # Storage formats and kernels
 //
-// The kernel engine is format-generic end to end: every storage scheme —
-// CRS (internal/matrix), ELLPACK, JDS and SELL-C-σ (internal/formats) —
-// satisfies the matrix.Format interface, so the parallel engine
+// The kernel engine is format-generic end to end. The runtime runs two
+// storage schemes, CRS (internal/matrix) and SELL-C-σ (internal/formats);
+// both satisfy the matrix.Format interface, so the parallel engine
 // (spmv.Parallel), the solver operators (CG, Lanczos, KPM) and all three
-// distributed modes run on any of them. Plan.ConvertFormat (or the
+// distributed modes run on either. Plan.ConvertFormat (or the
 // session-level WithFormat/Convert) takes a matrix.FormatBuilder (e.g.
 // formats.SELLBuilder) and converts both the full local matrix (vector
 // mode without overlap) and the local half of the column split (naive

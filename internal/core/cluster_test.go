@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chanmpi"
 	"repro/internal/formats"
 	"repro/internal/matrix"
 )
@@ -30,10 +29,27 @@ func newTestCluster(t *testing.T, seed int64, n, band, perRow, ranks int, opts .
 	return a, c
 }
 
-func TestClusterMulBitIdenticalToShims(t *testing.T) {
-	// The resident session and the deprecated per-call shims must agree bit
-	// for bit across every mode × format combination — the shims are proven
-	// equivalent, and a migration cannot change numerics.
+// mulFresh runs iters multiplications y = A^iters·x on a throwaway Cluster
+// over plan and returns y: the per-call reference a resident session must
+// reproduce bit for bit.
+func mulFresh(t *testing.T, plan *Plan, x []float64, mode Mode, threads, iters int) []float64 {
+	t.Helper()
+	c, err := NewCluster(plan, WithMode(mode), WithThreads(threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	y := make([]float64, plan.Part.Rows())
+	if err := c.Mul(y, x, iters); err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
+
+func TestClusterMulBitIdenticalToFreshCluster(t *testing.T) {
+	// A resident session reconfigured with SetMode and a throwaway cluster
+	// per call must agree bit for bit across every mode × format
+	// combination.
 	a := randomSquare(71, 400, 140, 6)
 	x := randVec(72, 400)
 	builders := []matrix.FormatBuilder{
@@ -41,11 +57,11 @@ func TestClusterMulBitIdenticalToShims(t *testing.T) {
 		formats.SELLBuilder{C: 16, Sigma: 64},
 	}
 	for _, b := range builders {
-		planShim, err := BuildPlan(a, PartitionByNnz(a, 4), true)
+		planFresh, err := BuildPlan(a, PartitionByNnz(a, 4), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := planShim.ConvertFormat(b); err != nil {
+		if err := planFresh.ConvertFormat(b); err != nil {
 			t.Fatal(err)
 		}
 		planSess, err := BuildPlan(a, PartitionByNnz(a, 4), true)
@@ -58,7 +74,7 @@ func TestClusterMulBitIdenticalToShims(t *testing.T) {
 		}
 		y := make([]float64, 400)
 		for _, mode := range Modes {
-			want := MulDistributed(planShim, x, mode, 3, 1)
+			want := mulFresh(t, planFresh, x, mode, 3, 1)
 			if err := cl.SetMode(mode); err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +83,7 @@ func TestClusterMulBitIdenticalToShims(t *testing.T) {
 			}
 			for i := range y {
 				if y[i] != want[i] {
-					t.Fatalf("%s mode=%v row %d: cluster %v != shim %v", b.Name(), mode, i, y[i], want[i])
+					t.Fatalf("%s mode=%v row %d: cluster %v != fresh cluster %v", b.Name(), mode, i, y[i], want[i])
 				}
 			}
 		}
@@ -75,7 +91,7 @@ func TestClusterMulBitIdenticalToShims(t *testing.T) {
 	}
 }
 
-func TestClusterIteratedMulMatchesShim(t *testing.T) {
+func TestClusterIteratedMulMatchesFreshCluster(t *testing.T) {
 	a := randomSquare(73, 240, 80, 5)
 	for i := range a.Val {
 		a.Val[i] *= 0.1
@@ -95,14 +111,14 @@ func TestClusterIteratedMulMatchesShim(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	want := MulDistributed(plan, x, TaskMode, 2, iters)
+	want := mulFresh(t, plan, x, TaskMode, 2, iters)
 	y := make([]float64, 240)
 	if err := cl.Mul(y, x, iters); err != nil {
 		t.Fatal(err)
 	}
 	for i := range y {
 		if y[i] != want[i] {
-			t.Fatalf("iterated cluster Mul differs from shim at row %d: %v != %v", i, y[i], want[i])
+			t.Fatalf("iterated cluster Mul differs from a fresh cluster at row %d: %v != %v", i, y[i], want[i])
 		}
 	}
 }
@@ -138,7 +154,7 @@ func TestClusterLiveSetModeAndConvert(t *testing.T) {
 			if err := cl.Mul(y, x, 1); err != nil {
 				t.Fatal(err)
 			}
-			want := MulDistributed(ref, x, mode, 2, 1)
+			want := mulFresh(t, ref, x, mode, 2, 1)
 			for i := range y {
 				if y[i] != want[i] {
 					t.Fatalf("%s mode=%v row %d: %v != %v", stage, mode, i, y[i], want[i])
@@ -159,7 +175,7 @@ func TestClusterLiveSetModeAndConvert(t *testing.T) {
 	check("sell-32-128", refPlan(formats.SELLBuilder{C: 32, Sigma: 128}))
 }
 
-func TestClusterRunSPMDCollectives(t *testing.T) {
+func TestClusterRunCollectives(t *testing.T) {
 	_, cl := newTestCluster(t, 77, 200, 60, 5, 4, WithThreads(2))
 	var visited int64
 	err := cl.Run(func(w *Worker) error {
@@ -633,7 +649,7 @@ func TestParseFormat(t *testing.T) {
 	if err := refPlan.ConvertFormat(formats.SELLBuilder{C: 8, Sigma: 32}); err != nil {
 		t.Fatal(err)
 	}
-	want := MulDistributed(refPlan, x, VectorNoOverlap, 1, 1)
+	want := mulFresh(t, refPlan, x, VectorNoOverlap, 1, 1)
 	for i := range y {
 		if y[i] != want[i] {
 			t.Fatalf("parsed-format cluster differs at row %d: %v != %v", i, y[i], want[i])
@@ -669,46 +685,4 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-}
-
-func TestDeprecatedShimsStillPanicOnMisuse(t *testing.T) {
-	a := randomSquare(95, 60, 20, 3)
-	plan, err := BuildPlan(a, PartitionByNnz(a, 2), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("MulDistributed short x", func() { MulDistributed(plan, make([]float64, 10), TaskMode, 2, 1) })
-	// Historical iters < 1 behavior: zero multiplications, zero vector —
-	// not the Cluster.Mul error.
-	for _, v := range MulDistributed(plan, make([]float64, 60), TaskMode, 2, 0) {
-		if v != 0 {
-			t.Error("MulDistributed with iters=0 must return the zero vector")
-			break
-		}
-	}
-	mustPanic("MulDistributed bad threads", func() { MulDistributed(plan, make([]float64, 60), TaskMode, 0, 1) })
-	mustPanic("RunSPMD bad threads", func() { RunSPMD(plan, 0, func(*Worker) {}) })
-	world, err := chanmpi.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comm0, err := world.Comm(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic("NewWorker bad threads", func() { NewWorker(plan.Ranks[0], comm0, 0) })
-	patternOnly, err := BuildPlan(a, PartitionByNnz(a, 2), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic("NewWorker pattern-only", func() { NewWorker(patternOnly.Ranks[0], comm0, 1) })
 }

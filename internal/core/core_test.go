@@ -172,7 +172,7 @@ func TestAllModesMatchSerial(t *testing.T) {
 		}
 		for _, mode := range Modes {
 			for _, threads := range []int{1, 3} {
-				got := MulDistributed(plan, x, mode, threads, 1)
+				got := mulFresh(t, plan, x, mode, threads, 1)
 				if d := maxAbsDiff(want, got); d > 1e-12 {
 					t.Errorf("ranks=%d mode=%v threads=%d: max diff %g", ranks, mode, threads, d)
 				}
@@ -200,7 +200,7 @@ func TestIteratedMultiplication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := MulDistributed(plan, x, mode, 2, 4)
+		got := mulFresh(t, plan, x, mode, 2, 4)
 		if d := maxAbsDiff(want, got); d > 1e-10 {
 			t.Errorf("mode=%v: A⁴x max diff %g", mode, d)
 		}
@@ -226,7 +226,7 @@ func TestHolsteinDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range Modes {
-		got := MulDistributed(plan, x, mode, 2, 1)
+		got := mulFresh(t, plan, x, mode, 2, 1)
 		if d := maxAbsDiff(want, got); d > 1e-11 {
 			t.Errorf("mode=%v on Holstein: max diff %g", mode, d)
 		}
@@ -249,7 +249,7 @@ func TestPoissonDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range Modes {
-		got := MulDistributed(plan, x, mode, 3, 1)
+		got := mulFresh(t, plan, x, mode, 3, 1)
 		if d := maxAbsDiff(want, got); d > 1e-11 {
 			t.Errorf("mode=%v on Poisson: max diff %g", mode, d)
 		}
@@ -326,7 +326,7 @@ func TestDistributedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := MulDistributed(plan, x, mode, 1+rng.Intn(3), 1)
+		got := mulFresh(t, plan, x, mode, 1+rng.Intn(3), 1)
 		return maxAbsDiff(want, got) < 1e-11
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -345,7 +345,7 @@ func TestMoreRanksThanRows(t *testing.T) {
 	want := make([]float64, 3)
 	a.MulVec(want, x)
 	for _, mode := range Modes {
-		got := MulDistributed(plan, x, mode, 2, 1)
+		got := mulFresh(t, plan, x, mode, 2, 1)
 		if d := maxAbsDiff(want, got); d > 1e-13 {
 			t.Errorf("mode=%v with empty ranks: diff %g", mode, d)
 		}
@@ -360,11 +360,11 @@ func TestDistributedFormatMatchesCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MulDistributed(plan, x, VectorNoOverlap, 2, 1)
+	want := mulFresh(t, plan, x, VectorNoOverlap, 2, 1)
 	if err := plan.ConvertFormat(formats.SELLBuilder{C: 16, Sigma: 64}); err != nil {
 		t.Fatal(err)
 	}
-	got := MulDistributed(plan, x, VectorNoOverlap, 2, 1)
+	got := mulFresh(t, plan, x, VectorNoOverlap, 2, 1)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("SELL-C-σ distributed result differs from CSR at row %d: %v != %v", i, got[i], want[i])
@@ -391,7 +391,7 @@ func TestOverlapModesFormatBitIdentical(t *testing.T) {
 	}
 	refs := make(map[Mode][]float64)
 	for _, mode := range Modes {
-		refs[mode] = MulDistributed(plan, x, mode, 3, 1)
+		refs[mode] = mulFresh(t, plan, x, mode, 3, 1)
 	}
 	builders := []matrix.FormatBuilder{
 		matrix.CSRBuilder{},
@@ -407,7 +407,7 @@ func TestOverlapModesFormatBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range Modes {
-			got := MulDistributed(plan2, x, mode, 3, 1)
+			got := mulFresh(t, plan2, x, mode, 3, 1)
 			for i := range got {
 				if got[i] != refs[mode][i] {
 					t.Fatalf("%s mode=%v row %d: %v != CSR %v", b.Name(), mode, i, got[i], refs[mode][i])
@@ -440,7 +440,7 @@ func TestIteratedMultiplicationFormats(t *testing.T) {
 	}
 	refs := make(map[Mode][]float64)
 	for _, mode := range Modes {
-		refs[mode] = MulDistributed(plan, x, mode, 2, iters)
+		refs[mode] = mulFresh(t, plan, x, mode, 2, iters)
 		if d := maxAbsDiff(want, refs[mode]); d > 1e-10 {
 			t.Errorf("CSR mode=%v: A³x max diff %g", mode, d)
 		}
@@ -453,7 +453,7 @@ func TestIteratedMultiplicationFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range Modes {
-		got := MulDistributed(plan2, x, mode, 2, iters)
+		got := mulFresh(t, plan2, x, mode, 2, iters)
 		for i := range got {
 			if got[i] != refs[mode][i] {
 				t.Fatalf("sell mode=%v row %d: %v != CSR %v", mode, i, got[i], refs[mode][i])
@@ -513,7 +513,10 @@ func TestSplitChunksBalancedOnSplitNnz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(rp, comm0, threads)
+	w, err := newWorker(rp, comm0, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer w.Close()
 
 	// Sanity: the fixture is skewed enough that the old chunking is badly
@@ -534,7 +537,7 @@ func TestSplitChunksBalancedOnSplitNnz(t *testing.T) {
 	want := make([]float64, n)
 	a.MulVec(want, x)
 	for _, mode := range Modes {
-		got := MulDistributed(plan, x, mode, threads, 1)
+		got := mulFresh(t, plan, x, mode, threads, 1)
 		if d := maxAbsDiff(want, got); d > 1e-12 {
 			t.Errorf("mode=%v on skewed fixture: max diff %g", mode, d)
 		}
@@ -544,7 +547,7 @@ func TestSplitChunksBalancedOnSplitNnz(t *testing.T) {
 func TestWorkerRejectsHalfConvertedPlan(t *testing.T) {
 	// A plan with only one of Format/SplitFormat set would run some modes
 	// on the converted format and others on CSR — numerically equal but
-	// silently different in speed. NewWorker must refuse it.
+	// silently different in speed. NewCluster must refuse it.
 	newPlan := func() *Plan {
 		a := randomSquare(59, 80, 30, 3)
 		plan, err := BuildPlan(a, PartitionByNnz(a, 2), true)
@@ -553,33 +556,23 @@ func TestWorkerRejectsHalfConvertedPlan(t *testing.T) {
 		}
 		return plan
 	}
-	world, err := chanmpi.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comm0, err := world.Comm(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Run("full-only", func(t *testing.T) {
-		rp := newPlan().Ranks[0]
+		plan := newPlan()
+		rp := plan.Ranks[0]
 		rp.Format = rp.A
-		defer func() {
-			if recover() == nil {
-				t.Error("NewWorker accepted Format without SplitFormat")
-			}
-		}()
-		NewWorker(rp, comm0, 2)
+		if c, err := NewCluster(plan, WithThreads(2)); err == nil {
+			c.Close()
+			t.Error("NewCluster accepted Format without SplitFormat")
+		}
 	})
 	t.Run("split-only", func(t *testing.T) {
-		rp := newPlan().Ranks[0]
+		plan := newPlan()
+		rp := plan.Ranks[0]
 		rp.SplitFormat = &spmv.FormatSplit{Local: rp.Split.Local, Remote: rp.Split.Remote, LocalCols: rp.NLocal}
-		defer func() {
-			if recover() == nil {
-				t.Error("NewWorker accepted SplitFormat without Format")
-			}
-		}()
-		NewWorker(rp, comm0, 2)
+		if c, err := NewCluster(plan, WithThreads(2)); err == nil {
+			c.Close()
+			t.Error("NewCluster accepted SplitFormat without Format")
+		}
 	})
 }
 
@@ -604,14 +597,14 @@ func TestTaskModeStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := MulDistributed(plan, x, TaskMode, 3, iters)
+	got := mulFresh(t, plan, x, TaskMode, 3, iters)
 	if d := maxAbsDiff(want, got); d > 1e-9 {
 		t.Fatalf("task mode A⁶x max diff %g", d)
 	}
 	if err := plan.ConvertFormat(formats.SELLBuilder{C: 16, Sigma: 64}); err != nil {
 		t.Fatal(err)
 	}
-	got2 := MulDistributed(plan, x, TaskMode, 3, iters)
+	got2 := mulFresh(t, plan, x, TaskMode, 3, iters)
 	for i := range got2 {
 		if got2[i] != got[i] {
 			t.Fatalf("sell task mode differs from CSR at row %d: %v != %v", i, got2[i], got[i])

@@ -12,7 +12,8 @@ import (
 // FormatTokens returns the grammar of every name ParseFormat accepts —
 // the concrete tokens plus the SELL-C-σ pattern — for command-line help
 // and API error messages. The pattern entry is a template, not a literal
-// token: any "sell-<C>-<sigma>" with positive integers parses.
+// token: any "sell-<C>-<sigma>" with C in [1, formats.MaxChunkHeight] and a
+// positive sigma parses.
 func FormatTokens() []string {
 	return []string{"crs", "csr", "sell-<C>-<sigma> (e.g. sell-32-256)"}
 }
@@ -24,6 +25,8 @@ func FormatTokens() []string {
 //	"crs" (alias "csr")      → matrix.CSRBuilder{}
 //	"sell-<C>-<sigma>"       → formats.SELLBuilder{C, Sigma}, e.g. "sell-32-256"
 //
+// C must lie in [1, formats.MaxChunkHeight], the range NewSELLCSigma
+// accepts, so a bad chunk height fails here rather than at conversion.
 // An unknown or malformed name yields an error that enumerates the valid
 // tokens (FormatTokens).
 func ParseFormat(s string) (matrix.FormatBuilder, error) {
@@ -37,11 +40,11 @@ func ParseFormat(s string) (matrix.FormatBuilder, error) {
 		if ok {
 			c, errC := strconv.Atoi(cStr)
 			sigma, errS := strconv.Atoi(sigmaStr)
-			if errC == nil && errS == nil && c > 0 && sigma > 0 {
+			if errC == nil && errS == nil && c >= 1 && c <= formats.MaxChunkHeight && sigma > 0 {
 				return formats.SELLBuilder{C: c, Sigma: sigma}, nil
 			}
 		}
-		return nil, fmt.Errorf("core: malformed SELL-C-σ format %q (want sell-<C>-<sigma> with positive integers, e.g. sell-32-256)", s)
+		return nil, fmt.Errorf("core: malformed SELL-C-σ format %q (want sell-<C>-<sigma> with C in [1,%d] and sigma ≥ 1, e.g. sell-32-256)", s, formats.MaxChunkHeight)
 	}
 	return nil, fmt.Errorf("core: unknown format %q (valid: %s)", s, strings.Join(FormatTokens(), ", "))
 }

@@ -98,4 +98,11 @@ func TestParseFormatErrorEnumeratesTokens(t *testing.T) {
 	if _, err := ParseFormat("sell-0-64"); err == nil {
 		t.Error("ParseFormat(sell-0-64) should fail")
 	}
+	// The chunk height is bounded by what the SELL-C-σ kernel accepts.
+	if _, err := ParseFormat("sell-64-256"); err != nil {
+		t.Errorf("ParseFormat(sell-64-256): %v", err)
+	}
+	if _, err := ParseFormat("sell-65-256"); err == nil {
+		t.Error("ParseFormat(sell-65-256) should fail")
+	}
 }

@@ -59,7 +59,7 @@ type RankPlan struct {
 	// CSR one. SplitFormat is the matching format-generic split (local half
 	// in the same scheme, remote half the shared compacted CSR) that the
 	// overlap and task modes run on. Plan.ConvertFormat sets both together;
-	// NewWorker rejects a plan with only one of them set, so the modes can
+	// NewCluster rejects a plan with only one of them set, so the modes can
 	// never silently disagree on storage.
 	Format      matrix.Format
 	SplitFormat *spmv.FormatSplit

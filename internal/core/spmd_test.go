@@ -7,7 +7,20 @@ import (
 	"repro/internal/chanmpi"
 )
 
-func TestRunSPMDBasics(t *testing.T) {
+// runFresh runs body once per rank on a throwaway Cluster over plan.
+func runFresh(t *testing.T, plan *Plan, threads int, body func(w *Worker) error) {
+	t.Helper()
+	c, err := NewCluster(plan, WithThreads(threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Run(body); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunBasics(t *testing.T) {
 	a := randomSquare(21, 200, 60, 5)
 	part := PartitionByNnz(a, 4)
 	plan, err := BuildPlan(a, part, true)
@@ -15,7 +28,7 @@ func TestRunSPMDBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var visited int64
-	RunSPMD(plan, 2, func(w *Worker) {
+	runFresh(t, plan, 2, func(w *Worker) error {
 		atomic.AddInt64(&visited, 1)
 		if w.Comm.Size() != 4 {
 			t.Errorf("world size %d", w.Comm.Size())
@@ -33,14 +46,15 @@ func TestRunSPMDBasics(t *testing.T) {
 		} else if sum != 4 {
 			t.Errorf("allreduce = %g", sum)
 		}
+		return nil
 	})
 	if visited != 4 {
 		t.Fatalf("body ran on %d ranks, want 4", visited)
 	}
 }
 
-func TestRunSPMDMultiplicationSequence(t *testing.T) {
-	// Three consecutive multiplications inside one SPMD session must match
+func TestRunMultiplicationSequence(t *testing.T) {
+	// Three consecutive multiplications inside one SPMD job must match
 	// three serial multiplications (state is carried correctly between
 	// Steps, including halo refreshes).
 	a := randomSquare(23, 300, 100, 5)
@@ -62,14 +76,17 @@ func TestRunSPMDMultiplicationSequence(t *testing.T) {
 	}
 	got := make([]float64, 300)
 	for _, mode := range Modes {
-		RunSPMD(plan, 2, func(w *Worker) {
+		runFresh(t, plan, 2, func(w *Worker) error {
 			lo, hi := w.Plan.Rows.Lo, w.Plan.Rows.Hi
 			copy(w.X[:w.Plan.NLocal], x[lo:hi])
 			for k := 0; k < 3; k++ {
-				w.Step(mode)
+				if err := w.Step(mode); err != nil {
+					return err
+				}
 				copy(w.X[:w.Plan.NLocal], w.Y)
 			}
 			copy(got[lo:hi], w.Y)
+			return nil
 		})
 		if d := maxAbsDiff(want, got); d > 1e-12 {
 			t.Errorf("mode %v: A³x differs by %g", mode, d)

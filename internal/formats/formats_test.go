@@ -1,7 +1,6 @@
 package formats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,95 +28,25 @@ func randVec(seed int64, n int) []float64 {
 	return x
 }
 
-func equal(a, b []float64, tol float64) bool {
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol*(1+math.Abs(a[i])) {
+// sellMatchesCSR reports whether SELL-C-σ with the given geometry
+// reproduces the serial CSR product of a bit for bit.
+func sellMatchesCSR(t *testing.T, a *matrix.CSR, x []float64, c, sigma int) bool {
+	t.Helper()
+	s, err := NewSELLCSigma(a, c, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, a.NumRows)
+	a.MulVec(want, x)
+	got := make([]float64, a.NumRows)
+	s.MulVec(got, x)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Logf("C=%d σ=%d row %d: %v != CSR %v", c, sigma, i, got[i], want[i])
 			return false
 		}
 	}
 	return true
-}
-
-func TestELLPACKMatchesCSR(t *testing.T) {
-	a := randomCSR(1, 300, 5)
-	e, err := NewELLPACK(a, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec(2, 300)
-	want := make([]float64, 300)
-	a.MulVec(want, x)
-	got := make([]float64, 300)
-	e.MulVec(got, x)
-	if !equal(want, got, 1e-13) {
-		t.Error("ELLPACK result differs from CSR")
-	}
-	if r := e.PaddingRatio(a.Nnz()); r < 1 {
-		t.Errorf("padding ratio %.2f < 1", r)
-	}
-}
-
-func TestELLPACKRejectsIrregularRows(t *testing.T) {
-	// One dense row among empty-ish rows: massive padding.
-	n := 100
-	var entries []matrix.Coord
-	for jj := 0; jj < n; jj++ {
-		entries = append(entries, matrix.Coord{Row: 0, Col: int32(jj), Val: 1})
-	}
-	for i := 1; i < n; i++ {
-		entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(i), Val: 1})
-	}
-	a, err := matrix.NewCSRFromCOO(n, n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewELLPACK(a, 10); err == nil {
-		t.Error("pathological padding accepted")
-	}
-	if _, err := NewELLPACK(a, 1000); err != nil {
-		t.Errorf("padding within budget rejected: %v", err)
-	}
-}
-
-func TestJDSMatchesCSR(t *testing.T) {
-	a := randomCSR(3, 400, 6)
-	j := NewJDS(a)
-	x := randVec(4, 400)
-	want := make([]float64, 400)
-	a.MulVec(want, x)
-	got := make([]float64, 400)
-	j.MulVec(got, x)
-	if !equal(want, got, 1e-13) {
-		t.Error("JDS result differs from CSR")
-	}
-}
-
-func TestJDSDiagonalLengthsDecrease(t *testing.T) {
-	a := randomCSR(5, 200, 7)
-	j := NewJDS(a)
-	for d := 1; d < len(j.JdPtr)-1; d++ {
-		l0 := j.JdPtr[d] - j.JdPtr[d-1]
-		l1 := j.JdPtr[d+1] - j.JdPtr[d]
-		if l1 > l0 {
-			t.Fatalf("jagged diagonal %d longer than %d (%d > %d)", d, d-1, l1, l0)
-		}
-	}
-	// Total slots equal nnz exactly: no padding in JDS.
-	if j.JdPtr[len(j.JdPtr)-1] != a.Nnz() {
-		t.Errorf("JDS stores %d entries, want %d", j.JdPtr[len(j.JdPtr)-1], a.Nnz())
-	}
-}
-
-func TestJDSPermIsBijection(t *testing.T) {
-	a := randomCSR(6, 150, 4)
-	j := NewJDS(a)
-	seen := make([]bool, a.NumRows)
-	for _, p := range j.Perm {
-		if seen[p] {
-			t.Fatal("JDS permutation repeats a row")
-		}
-		seen[p] = true
-	}
 }
 
 func TestFormatsOnHolstein(t *testing.T) {
@@ -130,34 +59,10 @@ func TestFormatsOnHolstein(t *testing.T) {
 	}
 	a := matrix.Materialize(h)
 	x := randVec(7, a.NumRows)
-	want := make([]float64, a.NumRows)
-	a.MulVec(want, x)
-
-	e, err := NewELLPACK(a, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, a.NumRows)
-	e.MulVec(got, x)
-	if !equal(want, got, 1e-12) {
-		t.Error("ELLPACK wrong on Hamiltonian")
-	}
-
-	j := NewJDS(a)
-	for i := range got {
-		got[i] = 0
-	}
-	j.MulVec(got, x)
-	if !equal(want, got, 1e-12) {
-		t.Error("JDS wrong on Hamiltonian")
-	}
-
-	csr, ell, jds := MemoryBytes(a, e, j)
-	if ell < csr-8*int64(a.NumRows+1) {
-		t.Errorf("ELLPACK (%d B) cannot be smaller than CSR payload (%d B)", ell, csr)
-	}
-	if jds <= 0 || csr <= 0 {
-		t.Error("memory accounting broken")
+	for _, cfg := range []struct{ c, sigma int }{{1, 1}, {8, 1}, {32, 256}, {64, a.NumRows}} {
+		if !sellMatchesCSR(t, a, x, cfg.c, cfg.sigma) {
+			t.Errorf("SELL-%d-%d wrong on Hamiltonian", cfg.c, cfg.sigma)
+		}
 	}
 }
 
@@ -168,17 +73,7 @@ func TestFormatsProperty(t *testing.T) {
 		n := 10 + rng.Intn(150)
 		a := randomCSR(seed, n, 1+rng.Intn(6))
 		x := randVec(seed+1, n)
-		want := make([]float64, n)
-		a.MulVec(want, x)
-		e, err := NewELLPACK(a, 50)
-		if err != nil {
-			return true // padding guard tripped: fine
-		}
-		gotE := make([]float64, n)
-		e.MulVec(gotE, x)
-		gotJ := make([]float64, n)
-		NewJDS(a).MulVec(gotJ, x)
-		return equal(want, gotE, 1e-12) && equal(want, gotJ, 1e-12)
+		return sellMatchesCSR(t, a, x, 1+rng.Intn(MaxChunkHeight), 1+rng.Intn(n))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -186,24 +81,21 @@ func TestFormatsProperty(t *testing.T) {
 }
 
 func TestEmptyMatrix(t *testing.T) {
+	// Rows, but every one of them empty: zero-width chunks, the trailing
+	// one partial.
 	a := &matrix.CSR{NumRows: 3, NumCols: 3, RowPtr: []int64{0, 0, 0, 0}}
-	e, err := NewELLPACK(a, 10)
+	s, err := NewSELLCSigma(a, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := []float64{1, 2, 3}
-	e.MulVec(y, []float64{1, 1, 1})
-	for _, v := range y {
-		if v != 0 {
-			t.Error("empty ELLPACK produced nonzero")
-		}
+	if s.NumBlocks() != 2 || s.Nnz() != 0 || s.PaddingRatio() != 1 {
+		t.Errorf("empty rows: %d blocks, %d nnz, padding %g", s.NumBlocks(), s.Nnz(), s.PaddingRatio())
 	}
-	j := NewJDS(a)
-	y = []float64{1, 2, 3}
-	j.MulVec(y, []float64{1, 1, 1})
+	y := []float64{1, 2, 3}
+	s.MulVec(y, []float64{1, 1, 1})
 	for _, v := range y {
 		if v != 0 {
-			t.Error("empty JDS produced nonzero")
+			t.Error("empty SELL-C-σ produced nonzero")
 		}
 	}
 }

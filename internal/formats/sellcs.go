@@ -1,3 +1,10 @@
+// Package formats holds SELL-C-σ, the chunked storage scheme of the
+// paper's successor line, next to the CRS of internal/matrix that §1.2
+// chooses as "the most efficient format for general sparse matrices on
+// cache-based microprocessors". Both satisfy matrix.Format, so the parallel
+// engine, the solvers and the distributed modes run on either; see
+// README.md for when SELL-C-σ beats CRS and how σ-sorting composes with RCM
+// reordering.
 package formats
 
 import (
@@ -12,12 +19,12 @@ import (
 const MaxChunkHeight = 64
 
 // SELLCSigma is the SELL-C-σ storage scheme (Kreutzer, Hager, Wellein et
-// al.), the successor of ELLPACK and JDS for wide-SIMD hardware: rows are
-// grouped into chunks of height C, each chunk is padded only to the width of
-// its own longest row, and rows are sorted by descending length within
-// windows of σ rows so that chunk-mates have similar lengths and padding
-// stays small. C = 1 degenerates to CSR, C = NumRows with σ = NumRows to
-// ELLPACK+JDS-style full sorting.
+// al.) for wide-SIMD hardware: rows are grouped into chunks of height C,
+// each chunk is padded only to the width of its own longest row, and rows
+// are sorted by descending length within windows of σ rows so that
+// chunk-mates have similar lengths and padding stays small. C = 1
+// degenerates to CSR; C = NumRows with σ = NumRows pads every row to the
+// longest one, in length-sorted order.
 //
 // Entries are stored chunk-local column-major: slot j of chunk c occupies
 // positions ChunkPtr[c]+j·C .. ChunkPtr[c]+j·C+C-1, one entry per chunk row.
@@ -177,12 +184,6 @@ func (s *SELLCSigma) PaddingRatio() float64 {
 		return 1
 	}
 	return float64(s.ChunkPtr[len(s.ChunkPtr)-1]) / float64(s.nnz)
-}
-
-// MemoryBytes returns the storage footprint (12 bytes per stored slot plus
-// chunk metadata and the permutation).
-func (s *SELLCSigma) MemoryBytes() int64 {
-	return 12*s.ChunkPtr[len(s.ChunkPtr)-1] + 12*int64(len(s.ChunkLen)) + 4*int64(s.Rows)
 }
 
 // MulVec computes y = A·x.

@@ -135,6 +135,16 @@ func TestHTTPErrorMapping(t *testing.T) {
 		}
 	}
 
+	// A chunk height the SELL-C-σ kernel rejects is a bad request, refused
+	// before the matrix is generated.
+	resp = postJSON(t, srv, "/v1/register", RegisterRequest{Name: "m", Spec: testSpec, Format: "sell-65-256"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sell-65-256 status %d, want 400", resp.StatusCode)
+	}
+	if msg = decodeError(t, resp); !strings.Contains(msg, "sell-65-256") {
+		t.Errorf("400 body %q does not name the format", msg)
+	}
+
 	resp = postJSON(t, srv, "/v1/mul", OpRequest{Tenant: "a", Matrix: "ghost"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown matrix status %d, want 404", resp.StatusCode)
