@@ -6,6 +6,7 @@ package repro_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -175,7 +176,7 @@ func BenchmarkRowKernels(b *testing.B) {
 		}{
 			{"CSR", a.Nnz(), func() { a.MulVecBlocks(y, x, 0, a.NumRows) }},
 			{"LocalView", split.Local.Nnz(), func() { split.Local.MulVecBlocks(y, x, 0, a.NumRows) }},
-			{"CompactCSR", rem.Nnz(), func() { rem.MulStoredRowsAdd(y, x, 0, rem.NumStoredRows()) }},
+			{"CompactCSR", int64(len(rem.Val)), func() { rem.MulStoredRowsAdd(y, x, 0, len(rem.Rows)) }},
 		} {
 			b.Run(m.name+"/"+k.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -513,25 +514,25 @@ func BenchmarkFig1Occupancy(b *testing.B) {
 
 // ---- Fig. 3: node-level model ------------------------------------------
 
+// The model's values are pinned by expt's TestFig3PaperAnchors; these time
+// evaluating and rendering it.
+
 func BenchmarkFig3aModel(b *testing.B) {
 	b.ReportAllocs()
-	var rows []expt.Fig3Row
 	for i := 0; i < b.N; i++ {
-		rows = expt.Fig3(machine.NehalemEP(), 15, 2.5)
+		if err := expt.RenderFig3(io.Discard, []machine.NodeSpec{machine.NehalemEP()}, 15, 2.5); err != nil {
+			b.Fatal(err)
+		}
 	}
-	// Report the socket-level anchor the paper measures: 2.25 GFlop/s.
-	b.ReportMetric(rows[3].SpmvGFlops, "GFlop/s@4cores")
 }
 
 func BenchmarkFig3bModel(b *testing.B) {
 	b.ReportAllocs()
-	var wsm, amd []expt.Fig3Row
 	for i := 0; i < b.N; i++ {
-		wsm = expt.Fig3(machine.WestmereEP(), 15, 2.5)
-		amd = expt.Fig3(machine.MagnyCours(), 15, 2.5)
+		if err := expt.RenderFig3(io.Discard, []machine.NodeSpec{machine.WestmereEP(), machine.MagnyCours()}, 15, 2.5); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(wsm[len(wsm)-1].SpmvGFlops, "Westmere-node-GFlop/s")
-	b.ReportMetric(amd[len(amd)-1].SpmvGFlops, "MagnyCours-node-GFlop/s")
 }
 
 // ---- §2: κ via cache simulation ----------------------------------------

@@ -143,10 +143,9 @@
 // epoch to the caller's body; when the body dies of a world-level error
 // (Recoverable — a WorldError/PeerError in the chain), it re-dials with
 // bounded, jittered exponential backoff and runs the next epoch, while
-// deterministic errors surface immediately. The solvers make epochs
-// resumable: DistCGOpt/DistLanczosOpt snapshot their complete iteration
-// state into a caller-owned checkpoint every k iterations at a collective
-// boundary, and a restore is BIT-IDENTICAL — the snapshot is taken at the
+// deterministic errors surface immediately. CG makes epochs resumable:
+// DistCGOpt snapshots its complete iteration state into a caller-owned
+// checkpoint every k iterations at a collective boundary, and a restore is BIT-IDENTICAL — the snapshot is taken at the
 // top-of-iteration boundary and restores the ITERATED residual rather
 // than recomputing b−A·x, and every derived scalar comes from the
 // canonical-rank-order reductions, so the resumed trajectory (iterates,
@@ -192,10 +191,10 @@
 // re-running work that timed out deterministically — it is FINAL for
 // the request that carried the deadline, and it still poisons the world
 // it interrupted, so batch-mates sharing that world are world-failed
-// (Recoverable) and retried on the next epoch. The solvers take the
-// same option (solver.CGOptions.Context / LanczosOptions.Context),
-// checked at the top-of-iteration collective boundary so a timed-out
-// solve still leaves a bit-identical resumable checkpoint. Below the
+// (Recoverable) and retried on the next epoch. DistCGOpt takes the same
+// option (solver.CGOptions.Context), checked at the top-of-iteration
+// collective boundary so a timed-out solve still leaves a bit-identical
+// resumable checkpoint. Below the
 // job layer, tcpmpi runs slow-peer SUSPICION next to the heartbeat
 // detectors: per-peer EWMA round-trip tracking flags a peer whose
 // acknowledgements fall persistently behind as a *core.PeerError with
@@ -273,6 +272,20 @@
 // Each analyzer ships analysistest-style want-comment fixtures under
 // internal/analysis/testdata/src/, including the known-hard
 // false-positive shapes the suite intentionally tolerates.
+//
+// One more check needs the whole module at once, so it runs in go test
+// rather than in reprolint: the exported-API gate
+// (analysis.UnreferencedExports, run by TestExportedAPIHasOutsideCaller).
+// Every exported function or method of an internal/ package must be
+// referenced by a non-test file of another package — a cmd/, example,
+// benchmark or another internal package. Exempt are methods through which
+// a type satisfies an interface of the module or the standard library
+// (errors' Unwrap/Is/As included), test-support packages whose name ends
+// in "test" (internal/matrix/matrixtest), and declarations whose doc
+// comment carries `//repro:api <reason>`; a mark without a reason is
+// itself a finding. Code that only its own package or only tests call is
+// unexported, deleted or moved into test code. The gate's fixture module
+// is internal/analysis/testdata/apigate.
 //
 // # Storage formats and kernels
 //

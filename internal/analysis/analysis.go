@@ -48,8 +48,8 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
+// reportf records a diagnostic at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...interface{}) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),

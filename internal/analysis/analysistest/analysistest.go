@@ -39,10 +39,30 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
+	match(t, diags, collectWants(t, pkg.Fset, pkg.Files))
+}
 
-	wants := collectWants(t, pkg.Fset, pkg.Files)
+// RunModule loads every package of the fixture module rooted at dir (its
+// own go.mod; test files included) with analysis.Load, runs a
+// whole-module check over them, and reports mismatches against the want
+// comments of all their files through t.
+func RunModule(t *testing.T, dir string, check func([]*analysis.Package) []analysis.Diagnostic) {
+	t.Helper()
+	pkgs, err := analysis.Load(dir, true, "./...")
+	if err != nil {
+		t.Fatalf("loading fixture module %s: %v", dir, err)
+	}
+	var wants []want
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg.Fset, pkg.Files)...)
+	}
+	match(t, check(pkgs), wants)
+}
 
-	// Match diagnostics to wants per line.
+// match pairs diagnostics with wants line by line: every diagnostic must
+// match a want on its line, and every want a diagnostic.
+func match(t *testing.T, diags []analysis.Diagnostic, wants []want) {
+	t.Helper()
 	matched := make([]bool, len(diags))
 	for _, w := range wants {
 		found := false
@@ -62,7 +82,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	}
 	for i, d := range diags {
 		if !matched[i] {
-			t.Errorf("%s: unexpected diagnostic: %s", a.Name, d)
+			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
 }

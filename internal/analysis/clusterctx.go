@@ -28,8 +28,8 @@ import (
 // is attributable.
 //
 // Locking methods: Mul, MulContext, Run, RunContext, SetMode, Convert,
-// Close, Failed. Lock-free and allowed: Mode, Ranks, LocalRanks,
-// Threads, Rows, Plan, Interrupt.
+// Close, Failed. Lock-free and allowed: Mode, Ranks, LocalRanks, Rows,
+// Plan, Interrupt.
 // Cross-package helpers are a documented non-goal (export data carries no
 // bodies); the runtime's own packages keep job-body helpers local.
 var ClusterCtxAnalyzer = &Analyzer{
@@ -131,7 +131,7 @@ func runClusterCtx(pass *Pass) error {
 			if callee := staticCallee(info, arg); callee != nil {
 				if s, ok := summaries[callee]; ok {
 					for m := range s.locking {
-						pass.Reportf(arg.Pos(), "job body %s calls Cluster.%s, which takes the cluster lock the submitter holds (self-deadlock)", callee.Name(), m)
+						pass.reportf(arg.Pos(), "job body %s calls Cluster.%s, which takes the cluster lock the submitter holds (self-deadlock)", callee.Name(), m)
 					}
 				}
 			}
@@ -143,13 +143,13 @@ func runClusterCtx(pass *Pass) error {
 				return true
 			}
 			if m, ok := lockingCall(bcall); ok {
-				pass.Reportf(bcall.Pos(), "Cluster.%s called from inside a cluster job body self-deadlocks (the submitter holds the cluster lock; Mode is the lock-free exception)", m)
+				pass.reportf(bcall.Pos(), "Cluster.%s called from inside a cluster job body self-deadlocks (the submitter holds the cluster lock; Mode is the lock-free exception)", m)
 				return true
 			}
 			if callee := staticCallee(info, bcall); callee != nil {
 				if s, ok := summaries[callee]; ok {
 					for m := range s.locking {
-						pass.Reportf(bcall.Pos(), "%s reaches Cluster.%s from inside a cluster job body (self-deadlock via helper)", callee.Name(), m)
+						pass.reportf(bcall.Pos(), "%s reaches Cluster.%s from inside a cluster job body (self-deadlock via helper)", callee.Name(), m)
 					}
 				}
 			}

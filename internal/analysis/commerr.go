@@ -55,16 +55,16 @@ func runCommErr(pass *Pass) error {
 			case *ast.ExprStmt:
 				if call, ok := s.X.(*ast.CallExpr); ok {
 					if name, ok := commCall(call); ok {
-						pass.Reportf(call.Pos(), "error from %s is discarded (error-first comm contract)", name)
+						pass.reportf(call.Pos(), "error from %s is discarded (error-first comm contract)", name)
 					}
 				}
 			case *ast.GoStmt:
 				if name, ok := commCall(s.Call); ok {
-					pass.Reportf(s.Call.Pos(), "error from %s is unobservable in a go statement", name)
+					pass.reportf(s.Call.Pos(), "error from %s is unobservable in a go statement", name)
 				}
 			case *ast.DeferStmt:
 				if name, ok := commCall(s.Call); ok {
-					pass.Reportf(s.Call.Pos(), "error from %s is unobservable in a deferred call", name)
+					pass.reportf(s.Call.Pos(), "error from %s is unobservable in a deferred call", name)
 				}
 			case *ast.AssignStmt:
 				// One call on the RHS; the error is its last result. Blank
@@ -81,7 +81,7 @@ func runCommErr(pass *Pass) error {
 					return true
 				}
 				if id, isIdent := s.Lhs[len(s.Lhs)-1].(*ast.Ident); isIdent && id.Name == "_" {
-					pass.Reportf(call.Pos(), "error from %s is assigned to the blank identifier", name)
+					pass.reportf(call.Pos(), "error from %s is assigned to the blank identifier", name)
 				}
 			}
 			return true

@@ -81,10 +81,10 @@ func checkNoalloc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		switch e := n.(type) {
 		case *ast.FuncLit:
-			pass.Reportf(e.Pos(), "closure allocates in %s %s", noallocDirective, name)
+			pass.reportf(e.Pos(), "closure allocates in %s %s", noallocDirective, name)
 			return false
 		case *ast.GoStmt:
-			pass.Reportf(e.Pos(), "go statement allocates a goroutine in %s %s", noallocDirective, name)
+			pass.reportf(e.Pos(), "go statement allocates a goroutine in %s %s", noallocDirective, name)
 		case *ast.CallExpr:
 			checkNoallocCall(pass, info, e, name)
 		case *ast.CompositeLit:
@@ -117,7 +117,7 @@ func checkNoallocCall(pass *Pass, info *types.Info, call *ast.CallExpr, name str
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make", "new", "append":
-				pass.Reportf(call.Pos(), "%s allocates in %s function", b.Name(), noallocDirective)
+				pass.reportf(call.Pos(), "%s allocates in %s function", b.Name(), noallocDirective)
 			}
 			return
 		}
@@ -128,7 +128,7 @@ func checkNoallocCall(pass *Pass, info *types.Info, call *ast.CallExpr, name str
 		if argTV, ok := info.Types[call.Args[0]]; ok {
 			from := argTV.Type.Underlying()
 			if isStringByteConv(from, to) {
-				pass.Reportf(call.Pos(), "string/slice conversion allocates in %s function", noallocDirective)
+				pass.reportf(call.Pos(), "string/slice conversion allocates in %s function", noallocDirective)
 			}
 		}
 		return
@@ -182,7 +182,7 @@ func checkBoxing(pass *Pass, info *types.Info, expr ast.Expr, target types.Type,
 	case *types.Interface, *types.Pointer, *types.Signature, *types.Map, *types.Chan:
 		return // single-word values fit the interface without boxing
 	}
-	pass.Reportf(expr.Pos(), "value of type %s boxed into %s in %s %s", t, target, noallocDirective, name)
+	pass.reportf(expr.Pos(), "value of type %s boxed into %s in %s %s", t, target, noallocDirective, name)
 }
 
 func checkNoallocComposite(pass *Pass, info *types.Info, lit *ast.CompositeLit, stack []ast.Node, name string) {
@@ -192,14 +192,14 @@ func checkNoallocComposite(pass *Pass, info *types.Info, lit *ast.CompositeLit, 
 	}
 	switch tv.Type.Underlying().(type) {
 	case *types.Slice, *types.Map:
-		pass.Reportf(lit.Pos(), "%s literal allocates in %s %s", describeComposite(tv.Type), noallocDirective, name)
+		pass.reportf(lit.Pos(), "%s literal allocates in %s %s", describeComposite(tv.Type), noallocDirective, name)
 		return
 	}
 	// A struct/array value literal lives on the stack unless its address
 	// is taken.
 	if len(stack) > 0 {
 		if u, ok := stack[len(stack)-1].(*ast.UnaryExpr); ok && u.Op == token.AND {
-			pass.Reportf(lit.Pos(), "&%s escapes to the heap in %s %s", describeComposite(tv.Type), noallocDirective, name)
+			pass.reportf(lit.Pos(), "&%s escapes to the heap in %s %s", describeComposite(tv.Type), noallocDirective, name)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func checkPersistBody(pass *Pass, body *ast.BlockStmt) {
 					continue
 				}
 				if prev, open := lastStart[e.key]; open {
-					pass.Reportf(e.pos, "%s.Start follows Start at line %d with no intervening Wait (one-Wait-per-Start)",
+					pass.reportf(e.pos, "%s.Start follows Start at line %d with no intervening Wait (one-Wait-per-Start)",
 						e.key, pass.Fset.Position(prev.pos).Line)
 				}
 				lastStart[e.key] = &e
@@ -122,7 +122,7 @@ func checkPersistBody(pass *Pass, body *ast.BlockStmt) {
 				continue // a different channel each iteration
 			}
 			reported[ev.key] = true
-			pass.Reportf(ev.pos, "%s.Start in a loop with no Wait in the loop body restarts an in-flight channel", ev.key)
+			pass.reportf(ev.pos, "%s.Start in a loop with no Wait in the loop body restarts an in-flight channel", ev.key)
 		}
 		return true
 	})

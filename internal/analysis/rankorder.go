@@ -44,13 +44,13 @@ func runRankOrder(pass *Pass) error {
 				case *ast.ForStmt:
 					if bad, why := badForDirection(loop); bad && !reported[loop.For] {
 						reported[loop.For] = true
-						pass.Reportf(loop.For, "combine loop %s: reductions must iterate ranks in canonical ascending order", why)
+						pass.reportf(loop.For, "combine loop %s: reductions must iterate ranks in canonical ascending order", why)
 					}
 				case *ast.RangeStmt:
 					if tv, ok := info.Types[loop.X]; ok {
 						if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !reported[loop.For] {
 							reported[loop.For] = true
-							pass.Reportf(loop.For, "combine loop ranges over a map: iteration order is non-deterministic, reductions must combine in canonical rank order")
+							pass.reportf(loop.For, "combine loop ranges over a map: iteration order is non-deterministic, reductions must combine in canonical rank order")
 						}
 					}
 				}

@@ -63,7 +63,6 @@ func allowed(cl *core.Cluster) error {
 	return cl.Run(func(w *core.Worker) error {
 		if cl.Mode() == core.TaskMode {
 			_ = cl.Ranks()
-			_ = cl.Threads()
 			_ = cl.Rows()
 		}
 		cl.Interrupt()

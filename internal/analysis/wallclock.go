@@ -76,7 +76,7 @@ func runWallClock(pass *Pass) error {
 			if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
 				return true
 			}
-			pass.Reportf(sel.Pos(), "time.%s in a //repro:virtualtime package: virtual-time purity requires every timestamp to come from the des clock", sel.Sel.Name)
+			pass.reportf(sel.Pos(), "time.%s in a //repro:virtualtime package: virtual-time purity requires every timestamp to come from the des clock", sel.Sel.Name)
 			return true
 		})
 	}

@@ -19,12 +19,6 @@ type Config struct {
 	LineBytes int // cache line size
 }
 
-// DefaultL3PerCore mirrors the paper's platforms: 2 MB of L3 per core,
-// 16-way, 64-byte lines.
-func DefaultL3PerCore() Config {
-	return Config{SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}
-}
-
 // Cache is a set-associative LRU cache with per-stream traffic accounting.
 type Cache struct {
 	cfg   Config
@@ -41,9 +35,9 @@ type Cache struct {
 	writebacks []int64
 }
 
-// New builds a cache; the configuration must describe a power-of-two set
+// newCache builds a cache; the configuration must describe a power-of-two set
 // count.
-func New(cfg Config, streams int) (*Cache, error) {
+func newCache(cfg Config, streams int) (*Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
 		return nil, fmt.Errorf("cachesim: nonpositive geometry %+v", cfg)
 	}
@@ -67,11 +61,11 @@ func New(cfg Config, streams int) (*Cache, error) {
 	}, nil
 }
 
-// Access replays one memory access of `size` bytes at `addr`, attributed to
+// access replays one memory access of `size` bytes at `addr`, attributed to
 // the given stream. Write accesses use write-allocate semantics (a store
 // miss fills the line first), matching the model's 16 bytes per result
 // update.
-func (c *Cache) Access(addr uint64, size int, write bool, stream int) {
+func (c *Cache) access(addr uint64, size int, write bool, stream int) {
 	line := uint64(c.cfg.LineBytes)
 	first := addr / line
 	last := (addr + uint64(size) - 1) / line
@@ -120,12 +114,12 @@ func (c *Cache) touchLine(lineAddr uint64, write bool, stream int) {
 	c.used[victim] = c.clock
 }
 
-// FillBytes returns the bytes loaded from memory for a stream.
-func (c *Cache) FillBytes(stream int) int64 { return c.fills[stream] }
+// fillBytes returns the bytes loaded from memory for a stream.
+func (c *Cache) fillBytes(stream int) int64 { return c.fills[stream] }
 
-// WritebackBytes returns the bytes written back to memory by a stream's
+// writebackBytes returns the bytes written back to memory by a stream's
 // evictions.
-func (c *Cache) WritebackBytes(stream int) int64 { return c.writebacks[stream] }
+func (c *Cache) writebackBytes(stream int) int64 { return c.writebacks[stream] }
 
 // Stream ids of the spMVM replay.
 const (
@@ -160,7 +154,7 @@ type Traffic struct {
 // the measured traffic. The arrays are laid out in disjoint address regions
 // (their real-machine relative alignment is irrelevant at LLC scale).
 func SpMVTraffic(a *matrix.CSR, cfg Config) (Traffic, error) {
-	c, err := New(cfg, numStreams)
+	c, err := newCache(cfg, numStreams)
 	if err != nil {
 		return Traffic{}, err
 	}
@@ -172,21 +166,21 @@ func SpMVTraffic(a *matrix.CSR, cfg Config) (Traffic, error) {
 	ptrBase := uint64(4 * region)
 
 	for i := 0; i < a.NumRows; i++ {
-		c.Access(ptrBase+uint64(i)*8, 16, false, StreamRowPtr) // rowptr[i], rowptr[i+1]
+		c.access(ptrBase+uint64(i)*8, 16, false, StreamRowPtr) // rowptr[i], rowptr[i+1]
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			c.Access(valBase+uint64(k)*8, 8, false, StreamVal)
-			c.Access(colBase+uint64(k)*4, 4, false, StreamCol)
-			c.Access(rhsBase+uint64(a.ColIdx[k])*8, 8, false, StreamRHS)
+			c.access(valBase+uint64(k)*8, 8, false, StreamVal)
+			c.access(colBase+uint64(k)*4, 4, false, StreamCol)
+			c.access(rhsBase+uint64(a.ColIdx[k])*8, 8, false, StreamRHS)
 		}
-		c.Access(resBase+uint64(i)*8, 8, true, StreamResult)
+		c.access(resBase+uint64(i)*8, 8, true, StreamResult)
 	}
 
 	tr := Traffic{
-		ValBytes:    c.FillBytes(StreamVal),
-		ColBytes:    c.FillBytes(StreamCol),
-		RHSBytes:    c.FillBytes(StreamRHS),
-		ResultBytes: c.FillBytes(StreamResult) + c.WritebackBytes(StreamResult),
-		RowPtrBytes: c.FillBytes(StreamRowPtr),
+		ValBytes:    c.fillBytes(StreamVal),
+		ColBytes:    c.fillBytes(StreamCol),
+		RHSBytes:    c.fillBytes(StreamRHS),
+		ResultBytes: c.fillBytes(StreamResult) + c.writebackBytes(StreamResult),
+		RowPtrBytes: c.fillBytes(StreamRowPtr),
 		Nnz:         a.Nnz(),
 		Rows:        a.NumRows,
 	}

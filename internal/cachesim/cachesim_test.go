@@ -8,73 +8,73 @@ import (
 )
 
 func TestCacheGeometryValidation(t *testing.T) {
-	if _, err := New(Config{SizeBytes: 0, Ways: 4, LineBytes: 64}, 1); err == nil {
+	if _, err := newCache(Config{SizeBytes: 0, Ways: 4, LineBytes: 64}, 1); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := New(Config{SizeBytes: 3000, Ways: 4, LineBytes: 64}, 1); err == nil {
+	if _, err := newCache(Config{SizeBytes: 3000, Ways: 4, LineBytes: 64}, 1); err == nil {
 		t.Error("non-power-of-two sets accepted")
 	}
-	if _, err := New(DefaultL3PerCore(), 1); err != nil {
+	if _, err := newCache(Config{SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}, 1); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
 }
 
 func TestSequentialStreamMissesOncePerLine(t *testing.T) {
-	c, err := New(Config{SizeBytes: 1 << 16, Ways: 4, LineBytes: 64}, 1)
+	c, err := newCache(Config{SizeBytes: 1 << 16, Ways: 4, LineBytes: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 1024 sequential 8-byte loads = 8192 bytes = 128 lines.
 	for i := 0; i < 1024; i++ {
-		c.Access(uint64(i)*8, 8, false, 0)
+		c.access(uint64(i)*8, 8, false, 0)
 	}
-	if got := c.FillBytes(0); got != 128*64 {
+	if got := c.fillBytes(0); got != 128*64 {
 		t.Errorf("fills = %d bytes, want %d", got, 128*64)
 	}
-	if c.WritebackBytes(0) != 0 {
+	if c.writebackBytes(0) != 0 {
 		t.Error("read-only stream produced write-backs")
 	}
 }
 
 func TestRepeatedAccessHitsInCache(t *testing.T) {
-	c, _ := New(Config{SizeBytes: 1 << 16, Ways: 4, LineBytes: 64}, 1)
+	c, _ := newCache(Config{SizeBytes: 1 << 16, Ways: 4, LineBytes: 64}, 1)
 	for rep := 0; rep < 10; rep++ {
 		for i := 0; i < 64; i++ { // 512 bytes: fits easily
-			c.Access(uint64(i)*8, 8, false, 0)
+			c.access(uint64(i)*8, 8, false, 0)
 		}
 	}
-	if got := c.FillBytes(0); got != 8*64 {
+	if got := c.fillBytes(0); got != 8*64 {
 		t.Errorf("fills = %d, want %d (compulsory only)", got, 8*64)
 	}
 }
 
 func TestCapacityMissesWhenWorkingSetExceedsCache(t *testing.T) {
 	cfg := Config{SizeBytes: 1 << 12, Ways: 4, LineBytes: 64} // 4 KB
-	c, _ := New(cfg, 1)
+	c, _ := newCache(cfg, 1)
 	// Working set 8 KB, swept twice: second sweep misses again (LRU).
 	for rep := 0; rep < 2; rep++ {
 		for i := 0; i < 1024; i++ {
-			c.Access(uint64(i)*8, 8, false, 0)
+			c.access(uint64(i)*8, 8, false, 0)
 		}
 	}
-	if got := c.FillBytes(0); got != 2*128*64 {
+	if got := c.fillBytes(0); got != 2*128*64 {
 		t.Errorf("fills = %d, want %d (every line misses twice)", got, 2*128*64)
 	}
 }
 
 func TestWriteAllocateAndWriteback(t *testing.T) {
 	cfg := Config{SizeBytes: 1 << 12, Ways: 4, LineBytes: 64}
-	c, _ := New(cfg, 1)
+	c, _ := newCache(cfg, 1)
 	// Write 8 KB (128 lines through a 4 KB cache): every line is filled
 	// (write-allocate) and 64 of them must be written back upon eviction;
 	// the rest stay dirty in the cache.
 	for i := 0; i < 1024; i++ {
-		c.Access(uint64(i)*8, 8, true, 0)
+		c.access(uint64(i)*8, 8, true, 0)
 	}
-	if got := c.FillBytes(0); got != 128*64 {
+	if got := c.fillBytes(0); got != 128*64 {
 		t.Errorf("fills = %d, want %d (write-allocate)", got, 128*64)
 	}
-	if got := c.WritebackBytes(0); got != 64*64 {
+	if got := c.writebackBytes(0); got != 64*64 {
 		t.Errorf("write-backs = %d, want %d", got, 64*64)
 	}
 }
@@ -82,26 +82,26 @@ func TestWriteAllocateAndWriteback(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	// Direct-ish cache: 2 ways, 1 set → 2 lines total.
 	cfg := Config{SizeBytes: 128, Ways: 2, LineBytes: 64}
-	c, _ := New(cfg, 1)
-	c.Access(0*64, 8, false, 0) // A
-	c.Access(1*64, 8, false, 0) // B
-	c.Access(0*64, 8, false, 0) // touch A (B is now LRU)
-	c.Access(2*64, 8, false, 0) // C evicts B
-	before := c.FillBytes(0)
-	c.Access(0*64, 8, false, 0) // A must still hit
-	if c.FillBytes(0) != before {
+	c, _ := newCache(cfg, 1)
+	c.access(0*64, 8, false, 0) // A
+	c.access(1*64, 8, false, 0) // B
+	c.access(0*64, 8, false, 0) // touch A (B is now LRU)
+	c.access(2*64, 8, false, 0) // C evicts B
+	before := c.fillBytes(0)
+	c.access(0*64, 8, false, 0) // A must still hit
+	if c.fillBytes(0) != before {
 		t.Error("LRU evicted the recently used line")
 	}
-	c.Access(1*64, 8, false, 0) // B was evicted → miss
-	if c.FillBytes(0) != before+64 {
+	c.access(1*64, 8, false, 0) // B was evicted → miss
+	if c.fillBytes(0) != before+64 {
 		t.Error("expected miss on evicted line")
 	}
 }
 
 func TestStraddlingAccessTouchesTwoLines(t *testing.T) {
-	c, _ := New(Config{SizeBytes: 1 << 12, Ways: 4, LineBytes: 64}, 1)
-	c.Access(60, 8, false, 0) // crosses the line boundary at 64
-	if got := c.FillBytes(0); got != 128 {
+	c, _ := newCache(Config{SizeBytes: 1 << 12, Ways: 4, LineBytes: 64}, 1)
+	c.access(60, 8, false, 0) // crosses the line boundary at 64
+	if got := c.fillBytes(0); got != 128 {
 		t.Errorf("fills = %d, want 128 (two lines)", got)
 	}
 }
@@ -185,7 +185,7 @@ func TestHolsteinOrderingKappa(t *testing.T) {
 func TestTrafficTotalsAddUp(t *testing.T) {
 	g, _ := genmat.NewRandomBand(genmat.RandomBandConfig{N: 5000, Bandwidth: 1000, PerRow: 6, Seed: 9})
 	a := matrix.Materialize(g)
-	tr, err := SpMVTraffic(a, DefaultL3PerCore())
+	tr, err := SpMVTraffic(a, Config{SizeBytes: 2 << 20, Ways: 16, LineBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@
 package chanmpi
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -75,8 +74,8 @@ func (f *failure) fail(err error) {
 	}
 }
 
-// Err returns the first failure, or nil while the world is healthy.
-func (f *failure) Err() error {
+// load returns the first failure, or nil while the world is healthy.
+func (f *failure) load() error {
 	if !f.failed.Load() {
 		return nil
 	}
@@ -143,7 +142,7 @@ func NewRangeWorld(bounds []int, me int, link Link) (*World, error) {
 func (w *World) Size() int { return w.size }
 
 // Err returns the world's first failure, or nil while it is healthy.
-func (w *World) Err() error { return w.failure.Err() }
+func (w *World) Err() error { return w.failure.load() }
 
 // Fail poisons the world with the given cause: every blocked operation
 // wakes with a *WorldError and every subsequent operation returns one.
@@ -172,47 +171,6 @@ func (w *World) Comm(rank int) (*Comm, error) {
 		return nil, &RankError{Op: "Comm", Rank: rank, Size: w.size}
 	}
 	return &Comm{world: w, rank: rank}, nil
-}
-
-// Run spawns one goroutine per rank executing body and blocks until all
-// ranks return. A rank that returns an error (or panics; panics are
-// recovered into errors) fails the world, so peers blocked on it unwedge
-// with a *WorldError instead of deadlocking. Run returns the primary
-// failure: the first rank error that is not itself a secondary
-// world-failure report. Every rank must be local.
-func (w *World) Run(body func(c *Comm) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, w.size)
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("chanmpi: rank %d panicked: %v", r, p)
-				}
-				if errs[r] != nil {
-					w.Fail(errs[r])
-				}
-			}()
-			errs[r] = body(&Comm{world: w, rank: r})
-		}(r)
-	}
-	wg.Wait()
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		var we *WorldError
-		if !errors.As(err, &we) {
-			return err
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Comm is one rank's communicator handle.
@@ -315,7 +273,7 @@ func (r *request) waitTimer(tc <-chan time.Time) (err error, timedOut bool) {
 	if timedOut {
 		return nil, true
 	}
-	return &WorldError{Cause: r.fail.Err()}, false
+	return &WorldError{Cause: r.fail.load()}, false
 }
 
 func (r *request) Done() bool {
@@ -362,10 +320,10 @@ type sentRequest struct{}
 func (sentRequest) Wait() error { return nil }
 func (sentRequest) Done() bool  { return true }
 
-// Waitall waits for every request (MPI_Waitall) and returns the first
+// waitall waits for every request (MPI_Waitall) and returns the first
 // error observed, after all requests have been waited on. Nil requests are
 // trivially complete.
-func Waitall(reqs ...Request) error {
+func waitall(reqs ...Request) error {
 	var first error
 	for _, r := range reqs {
 		if r == nil {
@@ -378,9 +336,9 @@ func Waitall(reqs ...Request) error {
 	return first
 }
 
-// Waitall waits for every request (MPI_Waitall), as a method so the
+// waitall waits for every request (MPI_Waitall), as a method so the
 // communicator handle alone carries the full point-to-point contract.
-func (c *Comm) Waitall(reqs ...Request) error { return Waitall(reqs...) }
+func (c *Comm) Waitall(reqs ...Request) error { return waitall(reqs...) }
 
 // mailbox holds the posted receives and unmatched arrivals of one local
 // rank. The earliest posted receive with equal (src, tag, coll) wins an
@@ -480,7 +438,7 @@ func (w *World) send(op string, src, dst, tag int, coll bool, data []float64, st
 	if dst < 0 || dst >= w.size {
 		return &RankError{Op: op, Rank: dst, Size: w.size}
 	}
-	if err := w.failure.Err(); err != nil {
+	if err := w.failure.load(); err != nil {
 		return &WorldError{Cause: err}
 	}
 	if dst < w.lo || dst >= w.hi {
@@ -541,7 +499,7 @@ func (w *World) postLocked(box *mailbox, r *request) error {
 		}
 		return err
 	}
-	if err := w.failure.Err(); err != nil {
+	if err := w.failure.load(); err != nil {
 		box.mu.Unlock()
 		return &WorldError{Cause: err}
 	}
@@ -594,27 +552,6 @@ func departedError(src int) error {
 	return fmt.Errorf("chanmpi: the process owning rank %d closed its world before the message arrived", src)
 }
 
-// Send is a blocking send (trivially complete under buffered semantics).
-func (c *Comm) Send(dst, tag int, data []float64) error {
-	req, err := c.Isend(dst, tag, data)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
-}
-
-// Recv is a blocking receive; it returns the element count.
-func (c *Comm) Recv(src, tag int, buf []float64) (int, error) {
-	req, err := c.Irecv(src, tag, buf)
-	if err != nil {
-		return 0, err
-	}
-	if err := req.Wait(); err != nil {
-		return 0, err
-	}
-	return req.(*request).n, nil
-}
-
 // ReduceOp selects the combining operation of Allreduce.
 type ReduceOp int
 
@@ -628,6 +565,8 @@ const (
 // engine's collectives and any reference fold checked against them — uses
 // the identical operation table: a private copy could silently diverge on
 // a newly added op and break bit-identity. Unknown ops sum.
+//
+//repro:api the one reduction table; reference folds use it and rankorder finds combine loops by its calls
 func (op ReduceOp) Combine(a, b float64) float64 {
 	switch op {
 	case OpMax:

@@ -2,8 +2,10 @@ package chanmpi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,11 +33,11 @@ func TestPingPong(t *testing.T) {
 	w := newTestWorld(t, 2)
 	run(t, w, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 7, []float64{1, 2, 3}); err != nil {
+			if err := send(c, 1, 7, []float64{1, 2, 3}); err != nil {
 				return err
 			}
 			buf := make([]float64, 3)
-			n, err := c.Recv(1, 8, buf)
+			n, err := recv(c, 1, 8, buf)
 			if err != nil {
 				return err
 			}
@@ -44,13 +46,13 @@ func TestPingPong(t *testing.T) {
 			}
 		} else {
 			buf := make([]float64, 3)
-			if _, err := c.Recv(0, 7, buf); err != nil {
+			if _, err := recv(c, 0, 7, buf); err != nil {
 				return err
 			}
 			for i := range buf {
 				buf[i] *= 2
 			}
-			if err := c.Send(0, 8, buf); err != nil {
+			if err := send(c, 0, 8, buf); err != nil {
 				return err
 			}
 		}
@@ -66,10 +68,10 @@ func TestBlockingSendRecvHelpers(t *testing.T) {
 		w := newTestWorld(t, 2)
 		run(t, w, func(c *Comm) error {
 			if c.Rank() == 0 {
-				return c.Send(1, 0, []float64{9, 8})
+				return send(c, 1, 0, []float64{9, 8})
 			}
 			buf := make([]float64, 5) // roomier than the message
-			n, err := c.Recv(0, 0, buf)
+			n, err := recv(c, 0, 0, buf)
 			if err != nil {
 				return err
 			}
@@ -86,10 +88,10 @@ func TestBlockingSendRecvHelpers(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rankErr *RankError
-		if err := c.Send(7, 0, []float64{1}); !errors.As(err, &rankErr) {
+		if err := send(c, 7, 0, []float64{1}); !errors.As(err, &rankErr) {
 			t.Errorf("Send to invalid rank returned %v, want *RankError", err)
 		}
-		if _, err := c.Recv(-1, 0, make([]float64, 1)); !errors.As(err, &rankErr) {
+		if _, err := recv(c, -1, 0, make([]float64, 1)); !errors.As(err, &rankErr) {
 			t.Errorf("Recv from invalid rank returned %v, want *RankError", err)
 		}
 	})
@@ -97,9 +99,9 @@ func TestBlockingSendRecvHelpers(t *testing.T) {
 		w := newTestWorld(t, 2)
 		err := w.Run(func(c *Comm) error {
 			if c.Rank() == 0 {
-				return c.Send(1, 0, []float64{1, 2, 3})
+				return send(c, 1, 0, []float64{1, 2, 3})
 			}
-			_, err := c.Recv(0, 0, make([]float64, 1))
+			_, err := recv(c, 0, 0, make([]float64, 1))
 			return err
 		})
 		var trunc *TruncationError
@@ -162,7 +164,7 @@ func TestMessageOrderingSameTag(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := Waitall(ra, rb); err != nil {
+			if err := waitall(ra, rb); err != nil {
 				return err
 			}
 			if a[0] != 1 || b[0] != 2 {
@@ -187,10 +189,10 @@ func TestTagSelectivity(t *testing.T) {
 			b20 := make([]float64, 1)
 			b10 := make([]float64, 1)
 			// Receive tag 20 first even though tag 10 was sent first.
-			if _, err := c.Recv(0, 20, b20); err != nil {
+			if _, err := recv(c, 0, 20, b20); err != nil {
 				return err
 			}
-			if _, err := c.Recv(0, 10, b10); err != nil {
+			if _, err := recv(c, 0, 10, b10); err != nil {
 				return err
 			}
 			if b20[0] != 20 || b10[0] != 10 {
@@ -216,7 +218,7 @@ func TestSendBufferReusableImmediately(t *testing.T) {
 			return err
 		}
 		got := make([]float64, 1)
-		if _, err := c.Recv(0, 0, got); err != nil {
+		if _, err := recv(c, 0, 0, got); err != nil {
 			return err
 		}
 		if got[0] != 42 {
@@ -233,7 +235,7 @@ func TestTruncationReturnsError(t *testing.T) {
 			_, err := c.Isend(1, 0, []float64{1, 2, 3})
 			return err
 		}
-		_, err := c.Recv(0, 0, make([]float64, 1))
+		_, err := recv(c, 0, 0, make([]float64, 1))
 		return err
 	})
 	var trunc *TruncationError
@@ -618,7 +620,7 @@ func TestManyRanksHaloExchangePattern(t *testing.T) {
 			if _, err := c.Isend(right, 100+it, []float64{val}); err != nil {
 				return err
 			}
-			if err := Waitall(rl, rr); err != nil {
+			if err := waitall(rl, rr); err != nil {
 				return err
 			}
 			val = (fromLeft[0] + fromRight[0]) / 2
@@ -671,7 +673,7 @@ func TestNilRequestWait(t *testing.T) {
 		t.Error("nil request should be trivially complete")
 	}
 	var iface Request
-	if err := Waitall(iface, typed); err != nil { // nil interface and typed nil both trivially complete
+	if err := waitall(iface, typed); err != nil { // nil interface and typed nil both trivially complete
 		t.Errorf("Waitall of nil requests: %v", err)
 	}
 }
@@ -702,4 +704,66 @@ func BenchmarkAllreduceLocal(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// Run spawns one goroutine per rank executing body and blocks until all
+// ranks return. A rank that returns an error (or panics; panics are
+// recovered into errors) fails the world, so peers blocked on it unwedge
+// with a *WorldError instead of deadlocking. Run returns the primary
+// failure: the first rank error that is not itself a secondary
+// world-failure report. Every rank must be local.
+func (w *World) Run(body func(c *Comm) error) error {
+	var wg sync.WaitGroup
+	errs := make([]error, w.size)
+	for r := 0; r < w.size; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					errs[r] = fmt.Errorf("chanmpi: rank %d panicked: %v", r, p)
+				}
+				if errs[r] != nil {
+					w.Fail(errs[r])
+				}
+			}()
+			errs[r] = body(&Comm{world: w, rank: r})
+		}(r)
+	}
+	wg.Wait()
+	var first error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		var we *WorldError
+		if !errors.As(err, &we) {
+			return err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// send is a blocking send (trivially complete under buffered semantics).
+func send(c *Comm, dst, tag int, data []float64) error {
+	req, err := c.Isend(dst, tag, data)
+	if err != nil {
+		return err
+	}
+	return req.Wait()
+}
+
+// recv is a blocking receive; it returns the element count.
+func recv(c *Comm, src, tag int, buf []float64) (int, error) {
+	req, err := c.Irecv(src, tag, buf)
+	if err != nil {
+		return 0, err
+	}
+	if err := req.Wait(); err != nil {
+		return 0, err
+	}
+	return req.(*request).n, nil
 }

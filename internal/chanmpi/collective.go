@@ -161,7 +161,7 @@ func (w *World) collective(rank int, op ReduceOp, in []float64, gather bool) err
 	c := &w.coll
 	m := c.members[rank-w.lo]
 	c.mu.Lock()
-	if err := w.failure.Err(); err != nil {
+	if err := w.failure.load(); err != nil {
 		c.mu.Unlock()
 		return &WorldError{Cause: err}
 	}
@@ -247,7 +247,7 @@ func (w *World) finish(rank int, op ReduceOp, gather bool, odd int) error {
 			// A send refused by a failed world still looks at its receive
 			// (the wait returns at once): if the world failed over this
 			// very receive, that is the error to report, not the send's.
-			if err == nil || w.failure.Err() != nil {
+			if err == nil || w.failure.load() != nil {
 				if werr := w.await(rank, e); werr != nil {
 					err = werr
 				}
@@ -333,7 +333,7 @@ func (m *member) Wait(timeout <-chan time.Time) (err error, timedOut bool) {
 	}
 	c := &m.w.coll
 	if c.done.Load() < m.round {
-		return &WorldError{Cause: m.w.failure.Err()}, false
+		return &WorldError{Cause: m.w.failure.load()}, false
 	}
 	return c.err, false
 }

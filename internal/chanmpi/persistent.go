@@ -78,7 +78,7 @@ func (p *precv) startInto(buf []float64) error {
 		// left in flight by a world failure reports the failure; only a
 		// healthy in-flight restart is a usage error.
 		box.mu.Unlock()
-		if err := w.failure.Err(); err != nil {
+		if err := w.failure.load(); err != nil {
 			return &WorldError{Cause: err}
 		}
 		return fmt.Errorf("chanmpi: Start on a persistent receive still in flight (Wait it first)")

@@ -23,8 +23,8 @@
 //     that ALL processes hold.
 //
 // File names encode the row span and iteration (cg-000000-000160-i00000040.ckpt),
-// so LatestCG/LatestLanczos can pick the newest matching snapshot with a
-// directory scan and stale spans from a re-partitioned run are ignored.
+// so LatestCG can pick the newest matching snapshot with a directory scan
+// and stale spans from a re-partitioned run are ignored.
 package ckpt
 
 import (
@@ -44,18 +44,12 @@ const (
 	magic   = "RPCK"
 	version = 1
 	kindCG  = 1
-	kindLcz = 2
 )
 
 // CGPath returns the file name a CG snapshot of rows [lo,hi) at the given
 // iteration is saved under, inside dir.
 func CGPath(dir string, lo, hi, iter int) string {
 	return filepath.Join(dir, fmt.Sprintf("cg-%06d-%06d-i%08d.ckpt", lo, hi, iter))
-}
-
-// LanczosPath is the Lanczos analogue of CGPath.
-func LanczosPath(dir string, lo, hi, step int) string {
-	return filepath.Join(dir, fmt.Sprintf("lcz-%06d-%06d-i%08d.ckpt", lo, hi, step))
 }
 
 type enc struct{ buf bytes.Buffer }
@@ -249,69 +243,10 @@ func LoadCG(path string, c *solver.CGCheckpoint) error {
 	return nil
 }
 
-// SaveLanczos atomically persists a sealed Lanczos snapshot into dir and
-// returns the file path.
-func SaveLanczos(dir string, c *solver.LanczosCheckpoint) (string, error) {
-	if !c.Valid() {
-		return "", fmt.Errorf("ckpt: refusing to save an invalid Lanczos checkpoint")
-	}
-	var e enc
-	e.buf.WriteString(magic)
-	e.i64(version)
-	e.i64(kindLcz)
-	e.i64(c.Lo)
-	e.i64(c.Hi)
-	e.i64(c.Step)
-	e.i64(c.MVMs)
-	e.f64s(c.Alphas)
-	e.f64s(c.Betas)
-	e.f64s(c.Basis[:(c.Step+1)*(c.Hi-c.Lo)])
-	path := LanczosPath(dir, c.Lo, c.Hi, c.Step)
-	if err := writeAtomic(path, e.buf.Bytes()); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// LoadLanczos fills c (sized by solver.NewLanczosCheckpoint for the same
-// cluster shape and m) from a file written by SaveLanczos and seals it.
-func LoadLanczos(path string, c *solver.LanczosCheckpoint) error {
-	payload, err := readVerified(path)
-	if err != nil {
-		return err
-	}
-	d := dec{b: payload}
-	d.header(kindLcz)
-	lo, hi := d.i64(), d.i64()
-	if d.err == nil && (lo != c.Lo || hi != c.Hi) {
-		return fmt.Errorf("ckpt: %s covers rows [%d,%d), checkpoint buffer holds [%d,%d)", path, lo, hi, c.Lo, c.Hi)
-	}
-	n := hi - lo
-	c.Step = d.i64()
-	c.MVMs = d.i64()
-	c.Alphas = d.f64s(c.Alphas, c.Step)
-	c.Betas = d.f64s(c.Betas, c.Step)
-	basis := d.f64s(c.Basis, (c.Step+1)*n)
-	if d.err != nil {
-		return fmt.Errorf("ckpt: %s: %w", path, d.err)
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("ckpt: %s: %d trailing bytes", path, len(d.b))
-	}
-	if len(c.Alphas) != c.Step || len(c.Betas) != c.Step || len(basis) != (c.Step+1)*n {
-		return fmt.Errorf("ckpt: %s: section lengths disagree with step %d", path, c.Step)
-	}
-	// Keep the full-capacity basis buffer: the resumed iteration appends
-	// the remaining vectors in place.
-	c.Basis = append(basis, make([]float64, cap(basis)-len(basis))...)[:cap(basis)]
-	c.Seal()
-	return nil
-}
-
-// latest scans dir for snapshots with the given name prefix and row span
-// and returns the newest iteration and its path; iter is -1 when none
-// exist (including when dir itself is missing — a fresh start).
-func latest(dir, kind string, lo, hi int) (iter int, path string, err error) {
+// LatestCG returns the newest CG snapshot iteration for rows [lo,hi) in
+// dir and its path; iter is -1 when none exists (including when dir itself
+// is missing — a fresh start).
+func LatestCG(dir string, lo, hi int) (iter int, path string, err error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return -1, "", nil
@@ -319,7 +254,7 @@ func latest(dir, kind string, lo, hi int) (iter int, path string, err error) {
 	if err != nil {
 		return -1, "", fmt.Errorf("ckpt: %w", err)
 	}
-	prefix := fmt.Sprintf("%s-%06d-%06d-i", kind, lo, hi)
+	prefix := fmt.Sprintf("cg-%06d-%06d-i", lo, hi)
 	iter = -1
 	for _, ent := range entries {
 		name := ent.Name()
@@ -327,22 +262,17 @@ func latest(dir, kind string, lo, hi int) (iter int, path string, err error) {
 		if _, serr := fmt.Sscanf(name, prefix+"%08d.ckpt", &it); serr != nil || !ent.Type().IsRegular() {
 			continue
 		}
+		// Sscanf ignores trailing input and accepts a short digit run, so
+		// a near miss (….ckpt.bak, …-i40.ckpt) parses too: only the exact
+		// name SaveCG writes counts.
+		if name != filepath.Base(CGPath(dir, lo, hi, it)) {
+			continue
+		}
 		if it > iter {
 			iter, path = it, filepath.Join(dir, name)
 		}
 	}
 	return iter, path, nil
-}
-
-// LatestCG returns the newest CG snapshot iteration for rows [lo,hi) in
-// dir, or -1 when none exists.
-func LatestCG(dir string, lo, hi int) (iter int, path string, err error) {
-	return latest(dir, "cg", lo, hi)
-}
-
-// LatestLanczos is the Lanczos analogue of LatestCG.
-func LatestLanczos(dir string, lo, hi int) (step int, path string, err error) {
-	return latest(dir, "lcz", lo, hi)
 }
 
 // Agree reduces each process's newest locally held iteration (-1 for

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -92,46 +93,6 @@ func TestCGRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLanczosRoundTrip is the Lanczos analogue, including the partially
-// filled basis buffer.
-func TestLanczosRoundTrip(t *testing.T) {
-	cl := testCluster(t, 2)
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(2))
-	const m, step = 30, 10
-
-	ck := solver.NewLanczosCheckpoint(cl, m)
-	ck.Step = step
-	ck.MVMs = step
-	for i := 0; i < step; i++ {
-		ck.Alphas = append(ck.Alphas, rng.NormFloat64())
-		ck.Betas = append(ck.Betas, rng.NormFloat64())
-	}
-	span := ck.Hi - ck.Lo
-	for i := 0; i < (step+1)*span; i++ {
-		ck.Basis[i] = rng.NormFloat64()
-	}
-	ck.Seal()
-
-	path, err := SaveLanczos(dir, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := solver.NewLanczosCheckpoint(cl, m)
-	if err := LoadLanczos(path, got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Valid() || got.Step != step || got.MVMs != step {
-		t.Fatalf("scalars corrupted: %+v", got)
-	}
-	if !bitsEqual(got.Alphas, ck.Alphas) || !bitsEqual(got.Betas, ck.Betas) {
-		t.Fatal("coefficients are not bit-identical after the round trip")
-	}
-	if len(got.Basis) != m*span || !bitsEqual(got.Basis[:(step+1)*span], ck.Basis[:(step+1)*span]) {
-		t.Fatal("basis is not bit-identical (or lost its capacity) after the round trip")
-	}
-}
-
 // TestLatestPicksNewestMatchingSpan pins the directory scan: newest
 // iteration wins, other spans and junk files are ignored, and a missing
 // directory means a fresh start, not an error.
@@ -150,11 +111,18 @@ func TestLatestPicksNewestMatchingSpan(t *testing.T) {
 			lastPath = p
 		}
 	}
-	// Junk and foreign spans must be ignored.
-	os.WriteFile(filepath.Join(dir, "cg-000000-000001-i00000099.ckpt"), []byte("x"), 0o644)
-	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644)
+	lo, hi := fillCG(cl, rng, 1).Lo, fillCG(cl, rng, 1).Hi
+	// Junk, foreign spans and near misses of a newer name must be ignored.
+	for _, name := range []string{
+		"cg-000000-000001-i00000099.ckpt",
+		"notes.txt",
+		filepath.Base(CGPath(dir, lo, hi, 70)) + ".bak",
+		fmt.Sprintf("cg-%06d-%06d-i80.ckpt", lo, hi),
+	} {
+		os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644)
+	}
 
-	iter, path, err := LatestCG(dir, fillCG(cl, rng, 1).Lo, fillCG(cl, rng, 1).Hi)
+	iter, path, err := LatestCG(dir, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func NewCluster(plan *Plan, opts ...Option) (*Cluster, error) {
 		}
 		if err != nil {
 			for _, built := range c.workers[:i] {
-				built.Close()
+				built.Team.Close()
 			}
 			world.Close()
 			return nil, err
@@ -206,7 +206,7 @@ func NewCluster(plan *Plan, opts ...Option) (*Cluster, error) {
 func (c *Cluster) rankLoop(i int) {
 	defer c.done.Done()
 	w := c.workers[i]
-	defer w.Close()
+	defer w.Team.Close()
 	for j := range c.jobs[i] {
 		c.runJob(j, i, w)
 	}
@@ -243,9 +243,6 @@ func (c *Cluster) Ranks() int { return c.plan.Part.NumRanks() }
 // on the default chan transport, this process's subset on a multi-process
 // one.
 func (c *Cluster) LocalRanks() []int { return append([]int(nil), c.localRanks...) }
-
-// Threads returns the compute-team size per rank.
-func (c *Cluster) Threads() int { return c.threads }
 
 // Rows returns the global matrix dimension.
 func (c *Cluster) Rows() int { return c.plan.Part.Rows() }

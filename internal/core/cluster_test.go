@@ -388,8 +388,8 @@ func TestClusterAccessors(t *testing.T) {
 	if cl.Ranks() != 3 {
 		t.Errorf("Ranks() = %d, want 3", cl.Ranks())
 	}
-	if cl.Threads() != 2 {
-		t.Errorf("Threads() = %d, want 2", cl.Threads())
+	if cl.threads != 2 {
+		t.Errorf("threads = %d, want 2", cl.threads)
 	}
 	if cl.Rows() != 90 {
 		t.Errorf("Rows() = %d, want 90", cl.Rows())

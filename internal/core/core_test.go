@@ -10,6 +10,7 @@ import (
 	"repro/internal/formats"
 	"repro/internal/genmat"
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 	"repro/internal/spmv"
 )
 
@@ -46,14 +47,14 @@ func maxAbsDiff(a, b []float64) float64 {
 func TestPartitionByNnzTiles(t *testing.T) {
 	a := randomSquare(1, 500, 400, 6)
 	p := PartitionByNnz(a, 7)
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if p.NumRanks() != 7 || p.Rows() != 500 {
 		t.Fatalf("ranks=%d rows=%d", p.NumRanks(), p.Rows())
 	}
 	for row := 0; row < 500; row++ {
-		r := p.Owner(row)
+		r := p.owner(row)
 		if row < p.Ranks[r].Lo || row >= p.Ranks[r].Hi {
 			t.Fatalf("Owner(%d) = %d but range is %+v", row, r, p.Ranks[r])
 		}
@@ -63,17 +64,17 @@ func TestPartitionByNnzTiles(t *testing.T) {
 func TestPartitionBalanceBeatsRowSplit(t *testing.T) {
 	// A matrix whose nnz are concentrated in the first rows: nnz balancing
 	// must produce lower imbalance than naive row splitting.
-	var entries []matrix.Coord
+	var entries []matrixtest.Coord
 	n := 400
 	for i := 0; i < n; i++ {
-		entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(i), Val: 1})
+		entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32(i), Val: 1})
 		if i < 50 {
 			for j := 0; j < 20; j++ {
-				entries = append(entries, matrix.Coord{Row: int32(i), Col: int32((i + j + 1) % n), Val: 1})
+				entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32((i + j + 1) % n), Val: 1})
 			}
 		}
 	}
-	a, err := matrix.NewCSRFromCOO(n, n, entries)
+	a, err := matrixtest.NewCSRFromCOO(n, n, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestPlanHaloInvariants(t *testing.T) {
 				t.Fatalf("rank %d receive segments not contiguous", r)
 			}
 			for i := 0; i < rx.Count; i++ {
-				if part.Owner(int(rp.HaloCols[rx.Offset+i])) != rx.Peer {
+				if part.owner(int(rp.HaloCols[rx.Offset+i])) != rx.Peer {
 					t.Fatalf("rank %d halo element owned by wrong peer", r)
 				}
 			}
@@ -121,9 +122,9 @@ func TestPlanHaloInvariants(t *testing.T) {
 			t.Fatalf("rank %d receive segments cover %d of %d halo", r, off, len(rp.HaloCols))
 		}
 		// Split conserves nonzeros and matches the recorded counts.
-		if rp.Split.Local.Nnz() != rp.NnzLocal || rp.Split.Remote.Nnz() != rp.NnzRemote {
+		if rp.Split.Local.Nnz() != rp.NnzLocal || int64(len(rp.Split.Remote.Val)) != rp.NnzRemote {
 			t.Fatalf("rank %d nnz split mismatch: %d/%d vs %d/%d",
-				r, rp.Split.Local.Nnz(), rp.Split.Remote.Nnz(), rp.NnzLocal, rp.NnzRemote)
+				r, rp.Split.Local.Nnz(), int64(len(rp.Split.Remote.Val)), rp.NnzLocal, rp.NnzRemote)
 		}
 	}
 	// Send lists mirror receive lists pairwise.
@@ -288,11 +289,11 @@ func TestPatternOnlyPlan(t *testing.T) {
 
 func TestBuildPlanErrors(t *testing.T) {
 	a := randomSquare(17, 60, 20, 3)
-	rect := a.ExtractRows(0, 30) // 30x60 rectangular
+	rect := matrixtest.ExtractRows(a, 0, 30) // 30x60 rectangular
 	if _, err := BuildPlan(rect, PartitionByRows(30, 2), true); err == nil {
 		t.Error("rectangular matrix accepted")
 	}
-	bad := NewPartition([]spmv.Range{{Lo: 0, Hi: 10}}) // covers 10 of 60 rows
+	bad := newPartition([]spmv.Range{{Lo: 0, Hi: 10}}) // covers 10 of 60 rows
 	if _, err := BuildPlan(a, bad, true); err == nil {
 		t.Error("short partition accepted")
 	}
@@ -485,18 +486,18 @@ func TestSplitChunksBalancedOnSplitNnz(t *testing.T) {
 	// each. Balancing the split passes on the full-matrix RowPtr (the
 	// pre-fix behavior) starves the early chunks of local work.
 	const n, half, threads = 256, 128, 4
-	var entries []matrix.Coord
+	var entries []matrixtest.Coord
 	for i := 0; i < n; i++ {
-		entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(i), Val: 1})
+		entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32(i), Val: 1})
 		if i < 16 {
 			for j := 0; j < 40; j++ {
-				entries = append(entries, matrix.Coord{
+				entries = append(entries, matrixtest.Coord{
 					Row: int32(i), Col: int32(half + (i*7+j)%half), Val: 1,
 				})
 			}
 		}
 	}
-	a, err := matrix.NewCSRFromCOO(n, n, entries)
+	a, err := matrixtest.NewCSRFromCOO(n, n, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +518,7 @@ func TestSplitChunksBalancedOnSplitNnz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	defer w.Team.Close()
 
 	// Sanity: the fixture is skewed enough that the old chunking is badly
 	// imbalanced when measured in local-pass work.

@@ -9,12 +9,12 @@ import (
 	"repro/internal/matrix"
 )
 
-// FormatTokens returns the grammar of every name ParseFormat accepts —
+// formatTokens returns the grammar of every name ParseFormat accepts —
 // the concrete tokens plus the SELL-C-σ pattern — for command-line help
 // and API error messages. The pattern entry is a template, not a literal
 // token: any "sell-<C>-<sigma>" with C in [1, formats.MaxChunkHeight] and a
 // positive sigma parses.
-func FormatTokens() []string {
+func formatTokens() []string {
 	return []string{"crs", "csr", "sell-<C>-<sigma> (e.g. sell-32-256)"}
 }
 
@@ -28,7 +28,7 @@ func FormatTokens() []string {
 // C must lie in [1, formats.MaxChunkHeight], the range NewSELLCSigma
 // accepts, so a bad chunk height fails here rather than at conversion.
 // An unknown or malformed name yields an error that enumerates the valid
-// tokens (FormatTokens).
+// tokens (formatTokens).
 func ParseFormat(s string) (matrix.FormatBuilder, error) {
 	name := strings.ToLower(strings.TrimSpace(s))
 	switch name {
@@ -46,5 +46,5 @@ func ParseFormat(s string) (matrix.FormatBuilder, error) {
 		}
 		return nil, fmt.Errorf("core: malformed SELL-C-σ format %q (want sell-<C>-<sigma> with C in [1,%d] and sigma ≥ 1, e.g. sell-32-256)", s, formats.MaxChunkHeight)
 	}
-	return nil, fmt.Errorf("core: unknown format %q (valid: %s)", s, strings.Join(FormatTokens(), ", "))
+	return nil, fmt.Errorf("core: unknown format %q (valid: %s)", s, strings.Join(formatTokens(), ", "))
 }

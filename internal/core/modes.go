@@ -225,9 +225,6 @@ func (w *Worker) refresh() {
 	w.fullChunks = spmv.BalanceNnz(w.local.BlockNnzPrefix(), threads)
 }
 
-// Close releases the worker's compute team.
-func (w *Worker) Close() { w.Team.Close() }
-
 // postRecvs restarts the persistent receive of every halo segment — the
 // compiled equivalent of posting one Irecv per peer, with no per-step
 // request allocation (segments deliver directly into X's halo region).

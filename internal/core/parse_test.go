@@ -82,7 +82,7 @@ func TestParseFormatErrorEnumeratesTokens(t *testing.T) {
 	if err == nil {
 		t.Fatal("ParseFormat(bogus) succeeded")
 	}
-	for _, tok := range FormatTokens() {
+	for _, tok := range formatTokens() {
 		if !strings.Contains(err.Error(), tok) {
 			t.Errorf("error %q does not mention token %q", err, tok)
 		}

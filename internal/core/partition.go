@@ -22,8 +22,8 @@ type Partition struct {
 	starts []int        // starts[r] = first row of rank r, plus sentinel
 }
 
-// NewPartition wraps explicit row ranges (must tile [0, rows)).
-func NewPartition(ranges []spmv.Range) *Partition {
+// newPartition wraps explicit row ranges (must tile [0, rows)).
+func newPartition(ranges []spmv.Range) *Partition {
 	p := &Partition{Ranks: ranges, starts: make([]int, len(ranges)+1)}
 	for r, rg := range ranges {
 		p.starts[r] = rg.Lo
@@ -45,7 +45,7 @@ func PartitionByNnz(src matrix.PatternSource, ranks int) *Partition {
 	for i, c := range counts {
 		prefix[i+1] = prefix[i] + c
 	}
-	return NewPartition(spmv.BalanceNnz(prefix, ranks))
+	return newPartition(spmv.BalanceNnz(prefix, ranks))
 }
 
 // PartitionByRows splits rows into equal-count blocks regardless of
@@ -58,7 +58,7 @@ func PartitionByRows(rows, ranks int) *Partition {
 	for r := 0; r < ranks; r++ {
 		ranges[r] = spmv.Range{Lo: r * rows / ranks, Hi: (r + 1) * rows / ranks}
 	}
-	return NewPartition(ranges)
+	return newPartition(ranges)
 }
 
 // NumRanks returns the number of ranks.
@@ -72,8 +72,8 @@ func (p *Partition) Rows() int {
 	return p.Ranks[len(p.Ranks)-1].Hi
 }
 
-// Owner returns the rank owning the given row.
-func (p *Partition) Owner(row int) int {
+// owner returns the rank owning the given row.
+func (p *Partition) owner(row int) int {
 	if row < 0 || row >= p.Rows() {
 		panic(fmt.Sprintf("core: row %d outside [0,%d)", row, p.Rows()))
 	}
@@ -83,8 +83,8 @@ func (p *Partition) Owner(row int) int {
 	return r
 }
 
-// Validate checks that the ranges tile [0, rows).
-func (p *Partition) Validate() error {
+// validate checks that the ranges tile [0, rows).
+func (p *Partition) validate() error {
 	lo := 0
 	for r, rg := range p.Ranks {
 		if rg.Lo != lo || rg.Hi < rg.Lo {

@@ -120,7 +120,7 @@ func (p *Plan) Bytes() int64 {
 // matrices are materialized so the plan can execute real multiplications;
 // otherwise the plan carries structure only (enough for the simulator).
 func BuildPlan(src matrix.PatternSource, part *Partition, withValues bool) (*Plan, error) {
-	if err := part.Validate(); err != nil {
+	if err := part.validate(); err != nil {
 		return nil, err
 	}
 	rows, cols := src.Dims()
@@ -252,7 +252,7 @@ func buildRankPlan(src matrix.PatternSource, vsrc matrix.ValueSource, part *Part
 	// Group the sorted halo by owner rank; ownership is contiguous, so each
 	// peer occupies one contiguous segment.
 	for s := 0; s < len(rp.HaloCols); {
-		owner := part.Owner(int(rp.HaloCols[s]))
+		owner := part.owner(int(rp.HaloCols[s]))
 		e := s
 		ownerHi := int32(part.Ranks[owner].Hi)
 		for e < len(rp.HaloCols) && rp.HaloCols[e] < ownerHi {

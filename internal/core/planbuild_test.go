@@ -12,6 +12,7 @@ import (
 	"repro/internal/formats"
 	"repro/internal/genmat"
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 	"repro/internal/spmv"
 )
 
@@ -150,11 +151,11 @@ func randomPlanCase(rng *rand.Rand) (*matrix.CSR, *Partition) {
 	for r := range ranges {
 		ranges[r] = spmv.Range{Lo: cuts[r], Hi: cuts[r+1]}
 	}
-	part := NewPartition(ranges)
+	part := newPartition(ranges)
 
-	var entries []matrix.Coord
+	var entries []matrixtest.Coord
 	for i := 0; i < n; i++ {
-		own := ranges[part.Owner(i)]
+		own := ranges[part.owner(i)]
 		kind := rng.Intn(4) // 0: empty, 1: owned columns only, 2: halo columns only, 3: both
 		for k := rng.Intn(6) + 1; k > 0 && kind != 0; k-- {
 			c := rng.Intn(n)
@@ -162,10 +163,10 @@ func randomPlanCase(rng *rand.Rand) (*matrix.CSR, *Partition) {
 			if (kind == 1 && !owned) || (kind == 2 && owned) {
 				continue
 			}
-			entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(c), Val: rng.NormFloat64()})
+			entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32(c), Val: rng.NormFloat64()})
 		}
 	}
-	a, err := matrix.NewCSRFromCOO(n, n, entries)
+	a, err := matrixtest.NewCSRFromCOO(n, n, entries)
 	if err != nil {
 		panic(err)
 	}
@@ -197,7 +198,7 @@ func TestSplitViewProperty(t *testing.T) {
 			full := want[rp.Rows.Lo:rp.Rows.Hi]
 			rp.A.MulVecBlocks(full, xl, 0, rp.NLocal)
 
-			stored := rp.Split.Remote.NumStoredRows()
+			stored := len(rp.Split.Remote.Rows)
 			view := make([]float64, rp.NLocal)
 			rp.Split.Local.MulVecBlocks(view, xl, 0, rp.NLocal)
 			rp.Split.Remote.MulStoredRowsAdd(view, xl, 0, stored)
@@ -312,7 +313,7 @@ func TestPlanBytesCountsArrays(t *testing.T) {
 	var want int64
 	for _, rp := range plan.Ranks {
 		nnz, rows := rp.NnzLocal+rp.NnzRemote, int64(rp.NLocal)
-		stored := int64(rp.Split.Remote.NumStoredRows())
+		stored := int64(len(rp.Split.Remote.Rows))
 		want += 12*nnz + 8*(rows+1) // A
 		want += 8 * rows            // mid
 		want += 12*rp.NnzRemote + 12*stored + 8

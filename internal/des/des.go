@@ -171,9 +171,6 @@ type Proc struct {
 	wakeFn func()                  // resident event callback: handoff(p)
 }
 
-// Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.sim.now }
 
@@ -309,13 +306,6 @@ func (p *Proc) Wait(g *Signal) {
 	}
 	g.waiters = append(g.waiters, p)
 	p.block()
-}
-
-// WaitAll suspends the proc until every signal has fired.
-func (p *Proc) WaitAll(signals ...*Signal) {
-	for _, g := range signals {
-		p.Wait(g)
-	}
 }
 
 // Run processes events until none remain. Procs still blocked when the queue

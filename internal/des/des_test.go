@@ -152,7 +152,8 @@ func TestWaitAll(t *testing.T) {
 	b := s.NewSignal()
 	var done float64 = -1
 	s.Spawn("w", func(p *Proc) {
-		p.WaitAll(a, b)
+		p.Wait(a)
+		p.Wait(b)
 		done = p.Now()
 	})
 	s.Spawn("f", func(p *Proc) {
@@ -165,7 +166,7 @@ func TestWaitAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	if done != 3 {
-		t.Errorf("WaitAll completed at %g, want 3", done)
+		t.Errorf("Wait on both signals completed at %g, want 3", done)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestFig2Renders(t *testing.T) {
 }
 
 func TestFig3PaperAnchors(t *testing.T) {
-	rows := Fig3(machine.NehalemEP(), 15, 2.5)
+	rows := fig3(machine.NehalemEP(), 15, 2.5)
 	// 1..4 cores + node row.
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
@@ -342,13 +342,13 @@ func TestPlotRenders(t *testing.T) {
 		Series: []PlotSeries{{Name: "s", Y: []float64{1, 3, 2}, Marker: '*'}},
 	}
 	var buf bytes.Buffer
-	if err := p.Render(&buf, 32, 8); err != nil {
+	if err := p.render(&buf, 32, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "*") {
 		t.Error("plot missing markers")
 	}
-	if err := p.Render(&buf, 4, 2); err == nil {
+	if err := p.render(&buf, 4, 2); err == nil {
 		t.Error("tiny grid accepted")
 	}
 }

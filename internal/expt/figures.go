@@ -62,10 +62,10 @@ type Fig3Row struct {
 	ModelCeiling float64 // STREAM / B_CRS(κ=0): the κ=0 roofline
 }
 
-// Fig3 evaluates the calibrated node model for core counts 1..CoresPerLD
+// fig3 evaluates the calibrated node model for core counts 1..CoresPerLD
 // and the full node, for a matrix with the given Nnzr and κ — reproducing
 // Fig. 3's bandwidth and performance curves.
-func Fig3(node machine.NodeSpec, nnzr, kappa float64) []Fig3Row {
+func fig3(node machine.NodeSpec, nnzr, kappa float64) []Fig3Row {
 	balance := perfmodel.CodeBalance(nnzr, kappa)
 	zeroK := perfmodel.CodeBalance(nnzr, 0)
 	var rows []Fig3Row
@@ -96,7 +96,7 @@ func RenderFig3(w io.Writer, nodes []machine.NodeSpec, nnzr, kappa float64) erro
 	for _, n := range nodes {
 		fmt.Fprintf(w, "\n%s (Nnzr=%.1f, κ=%.2f):\n", n.Name, nnzr, kappa)
 		tbl := NewTable("config", "STREAM [GB/s]", "spMVM BW [GB/s]", "spMVM [GFlop/s]", "κ=0 ceiling [GFlop/s]")
-		for _, r := range Fig3(n, nnzr, kappa) {
+		for _, r := range fig3(n, nnzr, kappa) {
 			tbl.Row(r.Label,
 				fmt.Sprintf("%.1f", r.StreamGBs),
 				fmt.Sprintf("%.1f", r.SpmvGBs),

@@ -293,5 +293,5 @@ func renderScalingPlot(w io.Writer, pts []ScalingPoint, cray map[int]ScalingPoin
 		}
 		plot.Series = append(plot.Series, PlotSeries{Name: "best Cray XE6", Y: ys, Marker: '+'})
 	}
-	return plot.Render(w, 64, 16)
+	return plot.render(w, 64, 16)
 }

@@ -121,8 +121,8 @@ type PlotSeries struct {
 	Marker byte
 }
 
-// Render draws the plot with the given character grid size.
-func (p *Plot) Render(w io.Writer, width, height int) error {
+// render draws the plot with the given character grid size.
+func (p *Plot) render(w io.Writer, width, height int) error {
 	if width < 16 || height < 4 {
 		return fmt.Errorf("expt: plot grid %dx%d too small", width, height)
 	}

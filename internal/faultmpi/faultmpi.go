@@ -129,20 +129,6 @@ type Schedule struct {
 	Stalls    []Stall
 }
 
-// DeriveKill deterministically derives a Kill from a seed: a rank in
-// [0, size) and an operation count in [1, maxOp]. Chaos suites use it to
-// sweep kill points reproducibly — same seed, same failure.
-func DeriveKill(seed int64, size, maxOp int) Kill {
-	z := uint64(seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return Kill{
-		Rank: int(z % uint64(size)),
-		AtOp: 1 + int((z>>32)%uint64(maxOp)),
-	}
-}
-
 // Transport decorates Inner with the fault schedule. The zero Inner is
 // the default core.ChanTransport. A Transport is safe for concurrent use
 // and keeps its consumed-fault state across Dials (epochs).

@@ -357,17 +357,3 @@ func TestStallBlocksNthStartOnce(t *testing.T) {
 		}
 	}
 }
-
-func TestDeriveKillDeterministic(t *testing.T) {
-	a := DeriveKill(1234, 8, 100)
-	b := DeriveKill(1234, 8, 100)
-	if a != b {
-		t.Fatalf("same seed derived %+v and %+v", a, b)
-	}
-	if a.Rank < 0 || a.Rank >= 8 || a.AtOp < 1 || a.AtOp > 100 {
-		t.Fatalf("derived kill %+v out of range", a)
-	}
-	if c := DeriveKill(1235, 8, 100); c == a {
-		t.Fatalf("different seeds derived the same kill %+v", a)
-	}
-}

@@ -99,12 +99,6 @@ func (s *System) NewResource(name string, c Capacity) *Resource {
 	return &Resource{name: name, capFn: c}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
-// Active returns the number of flows currently crossing the resource.
-func (r *Resource) Active() int { return len(r.flows) }
-
 // Start begins transferring `bytes` across the given resources and returns
 // the flow. A zero-byte flow completes immediately. Must be called from
 // simulation context (a proc or event callback). The resources slice is

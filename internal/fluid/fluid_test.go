@@ -170,16 +170,17 @@ func TestActiveCount(t *testing.T) {
 	r := sys.NewResource("r", ConstCapacity(10))
 	sim.Spawn("p", func(p *des.Proc) {
 		f1 := sys.Start(100, r)
-		if r.Active() != 1 {
-			t.Errorf("active = %d, want 1", r.Active())
+		if len(r.flows) != 1 {
+			t.Errorf("active = %d, want 1", len(r.flows))
 		}
 		f2 := sys.Start(100, r)
-		if r.Active() != 2 {
-			t.Errorf("active = %d, want 2", r.Active())
+		if len(r.flows) != 2 {
+			t.Errorf("active = %d, want 2", len(r.flows))
 		}
-		p.WaitAll(f1.Done, f2.Done)
-		if r.Active() != 0 {
-			t.Errorf("active after completion = %d, want 0", r.Active())
+		p.Wait(f1.Done)
+		p.Wait(f2.Done)
+		if len(r.flows) != 0 {
+			t.Errorf("active after completion = %d, want 0", len(r.flows))
 		}
 	})
 	if err := sim.Run(); err != nil {
@@ -305,7 +306,7 @@ func TestRecycleInsideDoneCallbackOfSimultaneousFlows(t *testing.T) {
 	if got := sim.Now(); got != 26 {
 		t.Errorf("second batch finished at %g, want 26", got)
 	}
-	if n := r.Active(); n != 0 {
+	if n := len(r.flows); n != 0 {
 		t.Errorf("%d flow(s) still attached after the run", n)
 	}
 }

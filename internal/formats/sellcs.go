@@ -58,6 +58,8 @@ func NewSELLCSigma(a *matrix.CSR, c, sigma int) (*SELLCSigma, error) {
 // stored with width contributions of zero), so input and result vectors
 // keep their indexing. Row lengths for σ-sorting and chunk widths count
 // in-range entries only.
+//
+//repro:api column-split machinery, deleted with the row schedule (ROADMAP item 10)
 func NewSELLCSigmaColRange(a *matrix.CSR, c, sigma, colLo, colHi int) (*SELLCSigma, error) {
 	if c < 1 || c > MaxChunkHeight {
 		return nil, fmt.Errorf("formats: chunk height C=%d outside [1,%d]", c, MaxChunkHeight)

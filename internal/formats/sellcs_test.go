@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 	"repro/internal/spmv"
 )
 
@@ -87,7 +88,7 @@ func TestSELLCSigmaSortingReducesPadding(t *testing.T) {
 			}
 		}
 	}
-	a := matrix.NewCSRFromDense(d)
+	a := matrixtest.NewCSRFromDense(d)
 	unsorted, err := NewSELLCSigma(a, 32, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +242,7 @@ func TestSELLCSigmaEmptyAndTiny(t *testing.T) {
 	s.MulVec(nil, nil)
 
 	// 5 rows with C=4: the trailing partial chunk must still be correct.
-	tiny := matrix.NewCSRFromDense([][]float64{
+	tiny := matrixtest.NewCSRFromDense([][]float64{
 		{1, 0, 2}, {0, 3, 0}, {4, 0, 0}, {0, 5, 6}, {7, 0, 8},
 	})
 	st, err := NewSELLCSigma(tiny, 4, 4)

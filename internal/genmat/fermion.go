@@ -29,9 +29,9 @@ type Hop struct {
 	Sign int8
 }
 
-// NewFermionBasis enumerates the basis and hop table for n fermions on a
+// newFermionBasis enumerates the basis and hop table for n fermions on a
 // periodic ring.
-func NewFermionBasis(sites, n int) (*FermionBasis, error) {
+func newFermionBasis(sites, n int) (*FermionBasis, error) {
 	if sites < 1 || sites > 30 || n < 0 || n > sites {
 		return nil, fmt.Errorf("genmat: invalid fermion basis (sites=%d, n=%d)", sites, n)
 	}
@@ -84,22 +84,10 @@ func hopSign(mask uint32, from, to int) int8 {
 	return -1
 }
 
-// Dim returns the number of basis states, C(Sites, N).
-func (b *FermionBasis) Dim() int { return len(b.Masks) }
+// dim returns the number of basis states, C(Sites, N).
+func (b *FermionBasis) dim() int { return len(b.Masks) }
 
-// Index returns the basis index of the given occupation mask, or -1 if the
-// mask has the wrong particle number.
-func (b *FermionBasis) Index(mask uint32) int32 {
-	if i, ok := b.index[mask]; ok {
-		return i
-	}
-	return -1
-}
-
-// Hops returns the hop list of basis state s. Callers must not modify it.
-func (b *FermionBasis) Hops(s int) []Hop { return b.hops[s] }
-
-// Occupied reports whether site i is occupied in basis state s.
-func (b *FermionBasis) Occupied(s, i int) bool {
+// occupied reports whether site i is occupied in basis state s.
+func (b *FermionBasis) occupied(s, i int) bool {
 	return b.Masks[s]&(1<<i) != 0
 }

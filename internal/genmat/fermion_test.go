@@ -16,56 +16,56 @@ func TestFermionBasisDims(t *testing.T) {
 		{5, 5, 1},
 	}
 	for _, c := range cases {
-		b, err := NewFermionBasis(c.sites, c.n)
+		b, err := newFermionBasis(c.sites, c.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Dim() != c.want {
-			t.Errorf("Dim(sites=%d,n=%d) = %d, want %d", c.sites, c.n, b.Dim(), c.want)
+		if b.dim() != c.want {
+			t.Errorf("Dim(sites=%d,n=%d) = %d, want %d", c.sites, c.n, b.dim(), c.want)
 		}
 	}
 }
 
 func TestFermionBasisInvalid(t *testing.T) {
-	if _, err := NewFermionBasis(0, 0); err == nil {
+	if _, err := newFermionBasis(0, 0); err == nil {
 		t.Error("0 sites accepted")
 	}
-	if _, err := NewFermionBasis(4, 5); err == nil {
+	if _, err := newFermionBasis(4, 5); err == nil {
 		t.Error("too many fermions accepted")
 	}
-	if _, err := NewFermionBasis(31, 1); err == nil {
+	if _, err := newFermionBasis(31, 1); err == nil {
 		t.Error("oversized lattice accepted")
 	}
 }
 
 func TestFermionIndexRoundTrip(t *testing.T) {
-	b, err := NewFermionBasis(6, 3)
+	b, err := newFermionBasis(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, mask := range b.Masks {
-		if got := b.Index(mask); got != int32(i) {
+		if got := indexOf(b, mask); got != int32(i) {
 			t.Errorf("Index(Masks[%d]) = %d", i, got)
 		}
 		if bits.OnesCount32(mask) != 3 {
 			t.Errorf("mask %b has wrong particle number", mask)
 		}
 	}
-	if b.Index(0b101100) == -1 {
+	if indexOf(b, 0b101100) == -1 {
 		t.Error("valid mask rejected")
 	}
-	if b.Index(0b1) != -1 {
+	if indexOf(b, 0b1) != -1 {
 		t.Error("wrong particle number accepted")
 	}
 }
 
 func TestHopsPreserveParticleNumber(t *testing.T) {
-	b, err := NewFermionBasis(6, 3)
+	b, err := newFermionBasis(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := range b.Masks {
-		for _, h := range b.Hops(s) {
+		for _, h := range b.hops[s] {
 			if bits.OnesCount32(b.Masks[h.To]) != 3 {
 				t.Fatalf("hop from %d to %d changes particle number", s, h.To)
 			}
@@ -81,17 +81,17 @@ func TestHopsPreserveParticleNumber(t *testing.T) {
 // same sign (real Hamiltonian).
 func TestHopsHermitian(t *testing.T) {
 	for _, cfg := range []struct{ sites, n int }{{6, 3}, {5, 2}, {4, 2}, {2, 1}} {
-		b, err := NewFermionBasis(cfg.sites, cfg.n)
+		b, err := newFermionBasis(cfg.sites, cfg.n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Accumulate the dense hop matrix.
-		d := make([][]int, b.Dim())
+		d := make([][]int, b.dim())
 		for i := range d {
-			d[i] = make([]int, b.Dim())
+			d[i] = make([]int, b.dim())
 		}
 		for s := range b.Masks {
-			for _, h := range b.Hops(s) {
+			for _, h := range b.hops[s] {
 				d[s][h.To] += int(h.Sign)
 			}
 		}
@@ -126,26 +126,35 @@ func TestHopSignKnownCase(t *testing.T) {
 func TestHopCountsTwoSites(t *testing.T) {
 	// One fermion on two sites: exactly one bond, two directed hops total,
 	// one per state.
-	b, err := NewFermionBasis(2, 1)
+	b, err := newFermionBasis(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := range b.Masks {
-		if len(b.Hops(s)) != 1 {
-			t.Errorf("state %d has %d hops, want 1 (single bond)", s, len(b.Hops(s)))
+		if len(b.hops[s]) != 1 {
+			t.Errorf("state %d has %d hops, want 1 (single bond)", s, len(b.hops[s]))
 		}
 	}
 }
 
 func TestOccupied(t *testing.T) {
-	b, err := NewFermionBasis(4, 2)
+	b, err := newFermionBasis(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := int(b.Index(0b0101))
+	s := int(indexOf(b, 0b0101))
 	for i, want := range []bool{true, false, true, false} {
-		if b.Occupied(s, i) != want {
+		if b.occupied(s, i) != want {
 			t.Errorf("Occupied(%d, %d) = %v, want %v", s, i, !want, want)
 		}
 	}
+}
+
+// indexOf returns the basis index of an occupation mask, or -1 if the mask
+// has the wrong particle number.
+func indexOf(b *FermionBasis, mask uint32) int32 {
+	if i, ok := b.index[mask]; ok {
+		return i
+	}
+	return -1
 }

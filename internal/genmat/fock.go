@@ -20,9 +20,9 @@ type FockSpace struct {
 	binom [][]int64
 }
 
-// NewFockSpace builds the enumeration tables for the given mode count and
+// newFockSpace builds the enumeration tables for the given mode count and
 // total-quantum cutoff.
-func NewFockSpace(modes, maxTotal int) (*FockSpace, error) {
+func newFockSpace(modes, maxTotal int) (*FockSpace, error) {
 	if modes < 0 || maxTotal < 0 {
 		return nil, fmt.Errorf("genmat: invalid Fock space (%d modes, max %d)", modes, maxTotal)
 	}
@@ -49,8 +49,8 @@ func NewFockSpace(modes, maxTotal int) (*FockSpace, error) {
 	return f, nil
 }
 
-// Dim returns the number of basis states, C(MaxTotal+Modes, Modes).
-func (f *FockSpace) Dim() int64 {
+// dim returns the number of basis states, C(MaxTotal+Modes, Modes).
+func (f *FockSpace) dim() int64 {
 	return f.binom[f.Modes][f.MaxTotal]
 }
 
@@ -62,9 +62,9 @@ func (f *FockSpace) countLE(k, b int) int64 {
 	return f.binom[k][b]
 }
 
-// Rank returns the lexicographic index of occupation vector m.
+// rank returns the lexicographic index of occupation vector m.
 // It panics if m is outside the space.
-func (f *FockSpace) Rank(m []int) int64 {
+func (f *FockSpace) rank(m []int) int64 {
 	if len(m) != f.Modes {
 		panic(fmt.Sprintf("genmat: Rank on vector of length %d, want %d", len(m), f.Modes))
 	}
@@ -84,14 +84,14 @@ func (f *FockSpace) Rank(m []int) int64 {
 	return r
 }
 
-// Unrank writes the occupation vector with lexicographic index r into m,
+// unrank writes the occupation vector with lexicographic index r into m,
 // which must have length Modes. It panics if r is out of range.
-func (f *FockSpace) Unrank(r int64, m []int) {
+func (f *FockSpace) unrank(r int64, m []int) {
 	if len(m) != f.Modes {
 		panic(fmt.Sprintf("genmat: Unrank into vector of length %d, want %d", len(m), f.Modes))
 	}
-	if r < 0 || r >= f.Dim() {
-		panic(fmt.Sprintf("genmat: Unrank index %d outside [0,%d)", r, f.Dim()))
+	if r < 0 || r >= f.dim() {
+		panic(fmt.Sprintf("genmat: Unrank index %d outside [0,%d)", r, f.dim()))
 	}
 	budget := f.MaxTotal
 	for j := 0; j < f.Modes; j++ {
@@ -110,8 +110,8 @@ func (f *FockSpace) Unrank(r int64, m []int) {
 	}
 }
 
-// Total returns the total quantum number Σ m.
-func Total(m []int) int {
+// sumQuanta returns the total quantum number Σ m.
+func sumQuanta(m []int) int {
 	t := 0
 	for _, v := range m {
 		t += v

@@ -7,12 +7,12 @@ import (
 
 func TestFockDimPaperScale(t *testing.T) {
 	// The paper's phonon subspace: 5 modes, ≤ 15 quanta → C(20,5) = 15504.
-	f, err := NewFockSpace(5, 15)
+	f, err := newFockSpace(5, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Dim() != 15504 {
-		t.Errorf("Dim = %d, want 15504 (the paper's 1.55e4 phonon subspace)", f.Dim())
+	if f.dim() != 15504 {
+		t.Errorf("Dim = %d, want 15504 (the paper's 1.55e4 phonon subspace)", f.dim())
 	}
 }
 
@@ -24,29 +24,29 @@ func TestFockDimSmallCases(t *testing.T) {
 		{0, 0, 1}, {0, 5, 1}, {1, 0, 1}, {1, 3, 4}, {2, 2, 6}, {3, 2, 10},
 	}
 	for _, c := range cases {
-		f, err := NewFockSpace(c.modes, c.max)
+		f, err := newFockSpace(c.modes, c.max)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Dim() != c.want {
-			t.Errorf("Dim(modes=%d, max=%d) = %d, want %d", c.modes, c.max, f.Dim(), c.want)
+		if f.dim() != c.want {
+			t.Errorf("Dim(modes=%d, max=%d) = %d, want %d", c.modes, c.max, f.dim(), c.want)
 		}
 	}
 }
 
 func TestFockRankUnrankRoundTrip(t *testing.T) {
-	f, err := NewFockSpace(4, 6)
+	f, err := newFockSpace(4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := make([]int, 4)
 	seen := make(map[[4]int]bool)
-	for r := int64(0); r < f.Dim(); r++ {
-		f.Unrank(r, m)
-		if Total(m) > 6 {
+	for r := int64(0); r < f.dim(); r++ {
+		f.unrank(r, m)
+		if sumQuanta(m) > 6 {
 			t.Fatalf("Unrank(%d) = %v exceeds cutoff", r, m)
 		}
-		if got := f.Rank(m); got != r {
+		if got := f.rank(m); got != r {
 			t.Fatalf("Rank(Unrank(%d)) = %d", r, got)
 		}
 		var key [4]int
@@ -56,20 +56,20 @@ func TestFockRankUnrankRoundTrip(t *testing.T) {
 		}
 		seen[key] = true
 	}
-	if int64(len(seen)) != f.Dim() {
-		t.Errorf("enumerated %d states, want %d", len(seen), f.Dim())
+	if int64(len(seen)) != f.dim() {
+		t.Errorf("enumerated %d states, want %d", len(seen), f.dim())
 	}
 }
 
 func TestFockUnrankLexicographic(t *testing.T) {
-	f, err := NewFockSpace(2, 2)
+	f, err := newFockSpace(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]int{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {2, 0}}
 	m := make([]int, 2)
 	for r, w := range want {
-		f.Unrank(int64(r), m)
+		f.unrank(int64(r), m)
 		if m[0] != w[0] || m[1] != w[1] {
 			t.Errorf("Unrank(%d) = %v, want %v", r, m, w)
 		}
@@ -77,38 +77,38 @@ func TestFockUnrankLexicographic(t *testing.T) {
 }
 
 func TestFockPanics(t *testing.T) {
-	f, _ := NewFockSpace(2, 3)
-	mustPanic(t, "short vector", func() { f.Rank([]int{1}) })
-	mustPanic(t, "over budget", func() { f.Rank([]int{2, 2}) })
-	mustPanic(t, "negative rank", func() { f.Unrank(-1, make([]int, 2)) })
-	mustPanic(t, "rank too large", func() { f.Unrank(f.Dim(), make([]int, 2)) })
+	f, _ := newFockSpace(2, 3)
+	mustPanic(t, "short vector", func() { f.rank([]int{1}) })
+	mustPanic(t, "over budget", func() { f.rank([]int{2, 2}) })
+	mustPanic(t, "negative rank", func() { f.unrank(-1, make([]int, 2)) })
+	mustPanic(t, "rank too large", func() { f.unrank(f.dim(), make([]int, 2)) })
 }
 
 func TestFockInvalidConfig(t *testing.T) {
-	if _, err := NewFockSpace(-1, 3); err == nil {
+	if _, err := newFockSpace(-1, 3); err == nil {
 		t.Error("negative modes accepted")
 	}
-	if _, err := NewFockSpace(2, -1); err == nil {
+	if _, err := newFockSpace(2, -1); err == nil {
 		t.Error("negative cutoff accepted")
 	}
 }
 
 func TestFockRankMonotoneProperty(t *testing.T) {
-	f, err := NewFockSpace(3, 8)
+	f, err := newFockSpace(3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	prop := func(r1, r2 uint16) bool {
-		a := int64(r1) % f.Dim()
-		b := int64(r2) % f.Dim()
+		a := int64(r1) % f.dim()
+		b := int64(r2) % f.dim()
 		if a > b {
 			a, b = b, a
 		}
 		ma := make([]int, 3)
 		mb := make([]int, 3)
-		f.Unrank(a, ma)
-		f.Unrank(b, mb)
+		f.unrank(a, ma)
+		f.unrank(b, mb)
 		// Lexicographic order of vectors must match rank order.
 		return a == b || lexLess(ma, mb)
 	}

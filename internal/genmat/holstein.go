@@ -101,7 +101,7 @@ type Holstein struct {
 	down *FermionBasis
 	fock *FockSpace
 
-	ne int   // electronic dimension = up.Dim()*down.Dim()
+	ne int   // electronic dimension = up.dim()*down.dim()
 	np int64 // phononic dimension
 
 	// coupling[k][e] = λ_k for electron state e and mode k:
@@ -119,22 +119,22 @@ func NewHolstein(cfg HolsteinConfig) (*Holstein, error) {
 	if cfg.Sites < 2 {
 		return nil, fmt.Errorf("genmat: Holstein needs ≥ 2 sites, got %d", cfg.Sites)
 	}
-	up, err := NewFermionBasis(cfg.Sites, cfg.NumUp)
+	up, err := newFermionBasis(cfg.Sites, cfg.NumUp)
 	if err != nil {
 		return nil, err
 	}
-	down, err := NewFermionBasis(cfg.Sites, cfg.NumDown)
+	down, err := newFermionBasis(cfg.Sites, cfg.NumDown)
 	if err != nil {
 		return nil, err
 	}
-	fock, err := NewFockSpace(cfg.Sites-1, cfg.MaxPhonons)
+	fock, err := newFockSpace(cfg.Sites-1, cfg.MaxPhonons)
 	if err != nil {
 		return nil, err
 	}
 	h := &Holstein{
 		cfg: cfg, up: up, down: down, fock: fock,
-		ne: up.Dim() * down.Dim(),
-		np: fock.Dim(),
+		ne: up.dim() * down.dim(),
+		np: fock.dim(),
 	}
 	// Column indices are int32 throughout the library (Eq. 1 counts 4-byte
 	// index traffic), so the global dimension must fit in int32.
@@ -146,10 +146,10 @@ func NewHolstein(cfg HolsteinConfig) (*Holstein, error) {
 	h.coupling = make([][]float64, len(modes))
 	h.diagEl = make([]float64, h.ne)
 	for e := 0; e < h.ne; e++ {
-		iu, id := e/down.Dim(), e%down.Dim()
+		iu, id := e/down.dim(), e%down.dim()
 		var docc float64
 		for i := 0; i < cfg.Sites; i++ {
-			if up.Occupied(iu, i) && down.Occupied(id, i) {
+			if up.occupied(iu, i) && down.occupied(id, i) {
 				docc++
 			}
 		}
@@ -158,14 +158,14 @@ func NewHolstein(cfg HolsteinConfig) (*Holstein, error) {
 	for k, phi := range modes {
 		h.coupling[k] = make([]float64, h.ne)
 		for e := 0; e < h.ne; e++ {
-			iu, id := e/down.Dim(), e%down.Dim()
+			iu, id := e/down.dim(), e%down.dim()
 			var lam float64
 			for i := 0; i < cfg.Sites; i++ {
 				var n float64
-				if up.Occupied(iu, i) {
+				if up.occupied(iu, i) {
 					n++
 				}
-				if down.Occupied(id, i) {
+				if down.occupied(id, i) {
 					n++
 				}
 				lam += phi[i] * n
@@ -205,9 +205,6 @@ func normalModes(sites int) [][]float64 {
 	}
 	return modes
 }
-
-// Config returns the generator configuration.
-func (h *Holstein) Config() HolsteinConfig { return h.cfg }
 
 // ElectronDim returns the dimension of the electronic subspace.
 func (h *Holstein) ElectronDim() int { return h.ne }
@@ -259,8 +256,8 @@ func (h *Holstein) row(r int, cols []int32, vals []float64, withVals bool) ([]in
 	e, p := h.decode(r)
 	var mArr [32]int
 	m := mArr[:h.fock.Modes]
-	h.fock.Unrank(p, m)
-	total := Total(m)
+	h.fock.unrank(p, m)
+	total := sumQuanta(m)
 
 	// Diagonal: Hubbard repulsion + phonon energy.
 	cols = append(cols, int32(r))
@@ -269,16 +266,16 @@ func (h *Holstein) row(r int, cols []int32, vals []float64, withVals bool) ([]in
 	}
 
 	// Hopping: off-diagonal in the electronic index, diagonal in phonons.
-	iu, id := e/h.down.Dim(), e%h.down.Dim()
-	for _, hop := range h.up.Hops(iu) {
-		e2 := int(hop.To)*h.down.Dim() + id
+	iu, id := e/h.down.dim(), e%h.down.dim()
+	for _, hop := range h.up.hops[iu] {
+		e2 := int(hop.To)*h.down.dim() + id
 		cols = append(cols, h.encode(e2, p))
 		if withVals {
 			vals = append(vals, -h.cfg.T*float64(hop.Sign))
 		}
 	}
-	for _, hop := range h.down.Hops(id) {
-		e2 := iu*h.down.Dim() + int(hop.To)
+	for _, hop := range h.down.hops[id] {
+		e2 := iu*h.down.dim() + int(hop.To)
 		cols = append(cols, h.encode(e2, p))
 		if withVals {
 			vals = append(vals, -h.cfg.T*float64(hop.Sign))
@@ -294,7 +291,7 @@ func (h *Holstein) row(r int, cols []int32, vals []float64, withVals bool) ([]in
 		}
 		if m[k] > 0 { // lowering: b_k
 			m[k]--
-			cols = append(cols, h.encode(e, h.fock.Rank(m)))
+			cols = append(cols, h.encode(e, h.fock.rank(m)))
 			m[k]++
 			if withVals {
 				vals = append(vals, lam*h.sqrtTab[m[k]])
@@ -302,7 +299,7 @@ func (h *Holstein) row(r int, cols []int32, vals []float64, withVals bool) ([]in
 		}
 		if total < h.cfg.MaxPhonons { // raising: b†_k
 			m[k]++
-			cols = append(cols, h.encode(e, h.fock.Rank(m)))
+			cols = append(cols, h.encode(e, h.fock.rank(m)))
 			m[k]--
 			if withVals {
 				vals = append(vals, lam*h.sqrtTab[m[k]+1])

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 )
 
 func tinyHolstein(t *testing.T, o Ordering) *Holstein {
@@ -43,7 +44,7 @@ func TestHolsteinSymmetric(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("%v: invalid CSR: %v", o, err)
 		}
-		if !a.IsSymmetric(1e-12) {
+		if !matrixtest.IsSymmetric(a, 1e-12) {
 			t.Errorf("%v: Hamiltonian not symmetric", o)
 		}
 	}
@@ -88,8 +89,8 @@ func TestHolsteinExplicitPermutation(t *testing.T) {
 	// Check entry-by-entry: A_HMEp[p·Ne+e, p'·Ne+e'] == A_HMeP[e·Np+p, e'·Np+p'].
 	ha := tinyHolstein(t, ElectronsContiguous)
 	hb := tinyHolstein(t, PhononsContiguous)
-	a := matrix.Materialize(ha).Dense()
-	b := matrix.Materialize(hb).Dense()
+	a := matrixtest.Dense(matrix.Materialize(ha))
+	b := matrixtest.Dense(matrix.Materialize(hb))
 	ne := ha.ElectronDim()
 	np := int(ha.PhononDim())
 	for e := 0; e < ne; e++ {
@@ -115,7 +116,7 @@ func TestHolsteinDiagonal(t *testing.T) {
 	// Row for phonon rank r has diagonal U·docc + ω₀·total(m).
 	m := make([]int, h.fock.Modes)
 	for p := int64(0); p < h.PhononDim(); p++ {
-		h.fock.Unrank(p, m)
+		h.fock.unrank(p, m)
 		row := int(p) // electron state 0, PhononsContiguous
 		cols, vals := a.Row(row)
 		var diag float64
@@ -129,7 +130,7 @@ func TestHolsteinDiagonal(t *testing.T) {
 		if !found {
 			t.Fatalf("row %d has no diagonal", row)
 		}
-		want := h.diagEl[0] + h.cfg.Omega*float64(Total(m))
+		want := h.diagEl[0] + h.cfg.Omega*float64(sumQuanta(m))
 		if math.Abs(diag-want) > 1e-12 {
 			t.Errorf("diag(p=%d) = %g, want %g", p, diag, want)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 )
 
 func tinyPoisson(t *testing.T, cfg PoissonConfig) *Poisson {
@@ -36,7 +37,7 @@ func TestPoissonSymmetricAndValid(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		if !a.IsSymmetric(1e-12) {
+		if !matrixtest.IsSymmetric(a, 1e-12) {
 			t.Errorf("%+v: not symmetric", cfg)
 		}
 	}
@@ -170,7 +171,7 @@ func TestRandomBandSymmetricSPD(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.IsSymmetric(0) {
+	if !matrixtest.IsSymmetric(a, 0) {
 		t.Error("symmetric random band not symmetric")
 	}
 	for i := 0; i < a.NumRows; i++ {
@@ -195,12 +196,12 @@ func TestRandomBandDeterministic(t *testing.T) {
 	g2, _ := NewRandomBand(cfg)
 	a := matrix.Materialize(g1)
 	b := matrix.Materialize(g2)
-	if !a.Equal(b) {
+	if !matrixtest.Equal(a, b) {
 		t.Error("same seed produced different matrices")
 	}
 	cfg.Seed = 78
 	g3, _ := NewRandomBand(cfg)
-	if a.Equal(matrix.Materialize(g3)) {
+	if matrixtest.Equal(a, matrix.Materialize(g3)) {
 		t.Error("different seeds produced identical matrices")
 	}
 }

@@ -46,8 +46,8 @@ func (n *NodeSpec) NodeSpmvBW() float64 {
 	return float64(n.LDsPerNode()) * n.SpmvBW[len(n.SpmvBW)-1]
 }
 
-// Validate checks internal consistency.
-func (n *NodeSpec) Validate() error {
+// validate checks internal consistency.
+func (n *NodeSpec) validate() error {
 	if n.Sockets < 1 || n.LDsPerSocket < 1 || n.CoresPerLD < 1 || n.SMTWays < 1 {
 		return fmt.Errorf("machine: %s has nonpositive topology", n.Name)
 	}
@@ -124,7 +124,7 @@ type ClusterSpec struct {
 
 // Validate checks the full specification.
 func (c *ClusterSpec) Validate() error {
-	if err := c.Node.Validate(); err != nil {
+	if err := c.Node.validate(); err != nil {
 		return err
 	}
 	if c.Net.LinkBW <= 0 || c.Net.IntraBW <= 0 {

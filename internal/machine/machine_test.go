@@ -92,17 +92,17 @@ func TestCrayNetworkFasterLinkThanIB(t *testing.T) {
 func TestValidateCatchesBadSpecs(t *testing.T) {
 	bad := NehalemEP()
 	bad.StreamBW = bad.StreamBW[:2]
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("short bandwidth table accepted")
 	}
 	bad2 := NehalemEP()
 	bad2.SpmvBW[0] = bad2.StreamBW[0] * 2
-	if err := bad2.Validate(); err == nil {
+	if err := bad2.validate(); err == nil {
 		t.Error("spMVM above STREAM accepted")
 	}
 	bad3 := NehalemEP()
 	bad3.SpmvBW[2] = bad3.SpmvBW[0] / 2
-	if err := bad3.Validate(); err == nil {
+	if err := bad3.validate(); err == nil {
 		t.Error("non-monotone table accepted")
 	}
 	bad4 := WestmereCluster()

@@ -1,6 +1,6 @@
 // Package matrix provides sparse matrix storage in Compressed Row Storage
 // (CRS/CSR) format, construction helpers, pattern streaming for matrices too
-// large to materialize, statistics, and Matrix Market I/O.
+// large to materialize, statistics, and Matrix Market output.
 //
 // CSR is the storage format analyzed by the paper (§1.2): all nonzeros live
 // in one contiguous Val array, row by row; RowPtr holds the starting offset
@@ -11,9 +11,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 )
 
 // CSR is a sparse matrix in Compressed Row Storage format.
@@ -120,94 +118,12 @@ func (a *CSR) MulVec(y, x []float64) {
 	a.MulVecBlocks(y, x, 0, a.NumRows)
 }
 
-// Transpose returns Aᵀ as a new CSR matrix.
-func (a *CSR) Transpose() *CSR {
-	t := &CSR{
-		NumRows: a.NumCols,
-		NumCols: a.NumRows,
-		RowPtr:  make([]int64, a.NumCols+1),
-		ColIdx:  make([]int32, a.Nnz()),
-		Val:     make([]float64, a.Nnz()),
-	}
-	// Count entries per column of A.
-	for _, c := range a.ColIdx {
-		t.RowPtr[c+1]++
-	}
-	for i := 0; i < a.NumCols; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := make([]int64, a.NumCols)
-	copy(next, t.RowPtr[:a.NumCols])
-	for i := 0; i < a.NumRows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			c := a.ColIdx[k]
-			p := next[c]
-			next[c]++
-			t.ColIdx[p] = int32(i)
-			t.Val[p] = a.Val[k]
-		}
-	}
-	return t
-}
-
-// IsStructurallySymmetric reports whether the sparsity pattern of A equals
-// that of Aᵀ. The matrix must be square.
-func (a *CSR) IsStructurallySymmetric() bool {
-	if a.NumRows != a.NumCols {
-		return false
-	}
-	t := a.Transpose()
-	for i := 0; i <= a.NumRows; i++ {
-		if a.RowPtr[i] != t.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.ColIdx {
-		if a.ColIdx[k] != t.ColIdx[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSymmetric reports whether A is numerically symmetric to within tol.
-func (a *CSR) IsSymmetric(tol float64) bool {
-	if !a.IsStructurallySymmetric() {
-		return false
-	}
-	t := a.Transpose()
-	for k := range a.Val {
-		if math.Abs(a.Val[k]-t.Val[k]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// ExtractRows returns the sub-matrix consisting of rows [lo, hi), keeping
-// the full column range.
-func (a *CSR) ExtractRows(lo, hi int) *CSR {
-	if lo < 0 || hi > a.NumRows || lo > hi {
-		panic(fmt.Sprintf("matrix: ExtractRows bounds [%d,%d) outside [0,%d)", lo, hi, a.NumRows))
-	}
-	base := a.RowPtr[lo]
-	sub := &CSR{
-		NumRows: hi - lo,
-		NumCols: a.NumCols,
-		RowPtr:  make([]int64, hi-lo+1),
-		ColIdx:  a.ColIdx[base:a.RowPtr[hi]],
-		Val:     a.Val[base:a.RowPtr[hi]],
-	}
-	for i := lo; i <= hi; i++ {
-		sub.RowPtr[i-lo] = a.RowPtr[i] - base
-	}
-	return sub
-}
-
 // RestrictCols returns a copy holding only the entries with columns in
 // [lo, hi). Dimensions are unchanged: rows whose entries all fall outside
 // the range become empty rather than disappearing, so the result multiplies
 // the same vectors as a.
+//
+//repro:api column-split machinery, deleted with the row schedule (ROADMAP item 10)
 func (a *CSR) RestrictCols(lo, hi int) *CSR {
 	if lo < 0 || hi > a.NumCols || lo > hi {
 		panic(fmt.Sprintf("matrix: RestrictCols bounds [%d,%d) outside [0,%d]", lo, hi, a.NumCols))
@@ -237,119 +153,6 @@ func (a *CSR) RestrictCols(lo, hi int) *CSR {
 		sub.RowPtr[i+1] = int64(len(sub.ColIdx))
 	}
 	return sub
-}
-
-// Clone returns a deep copy of the matrix.
-func (a *CSR) Clone() *CSR {
-	b := &CSR{
-		NumRows: a.NumRows,
-		NumCols: a.NumCols,
-		RowPtr:  append([]int64(nil), a.RowPtr...),
-		ColIdx:  append([]int32(nil), a.ColIdx...),
-		Val:     append([]float64(nil), a.Val...),
-	}
-	return b
-}
-
-// Equal reports whether two matrices have identical structure and values.
-func (a *CSR) Equal(b *CSR) bool {
-	if a.NumRows != b.NumRows || a.NumCols != b.NumCols || a.Nnz() != b.Nnz() {
-		return false
-	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != b.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.ColIdx {
-		if a.ColIdx[k] != b.ColIdx[k] || a.Val[k] != b.Val[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// Dense returns the matrix as a dense row-major slice of slices.
-// Intended for tests on small matrices only.
-func (a *CSR) Dense() [][]float64 {
-	d := make([][]float64, a.NumRows)
-	for i := range d {
-		d[i] = make([]float64, a.NumCols)
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d[i][a.ColIdx[k]] = a.Val[k]
-		}
-	}
-	return d
-}
-
-// Coord is one coordinate-format (COO) entry used during construction.
-type Coord struct {
-	Row, Col int32
-	Val      float64
-}
-
-// NewCSRFromCOO builds a CSR matrix from coordinate entries. Duplicate
-// (row, col) entries are summed; entries are sorted per row by column.
-// The input slice is reordered in place.
-func NewCSRFromCOO(rows, cols int, entries []Coord) (*CSR, error) {
-	for _, e := range entries {
-		if e.Row < 0 || int(e.Row) >= rows || e.Col < 0 || int(e.Col) >= cols {
-			return nil, fmt.Errorf("matrix: COO entry (%d,%d) outside %dx%d", e.Row, e.Col, rows, cols)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Row != entries[j].Row {
-			return entries[i].Row < entries[j].Row
-		}
-		return entries[i].Col < entries[j].Col
-	})
-	a := &CSR{
-		NumRows: rows,
-		NumCols: cols,
-		RowPtr:  make([]int64, rows+1),
-	}
-	a.ColIdx = make([]int32, 0, len(entries))
-	a.Val = make([]float64, 0, len(entries))
-	for k := 0; k < len(entries); {
-		e := entries[k]
-		v := e.Val
-		k++
-		for k < len(entries) && entries[k].Row == e.Row && entries[k].Col == e.Col {
-			v += entries[k].Val
-			k++
-		}
-		a.ColIdx = append(a.ColIdx, e.Col)
-		a.Val = append(a.Val, v)
-		a.RowPtr[e.Row+1]++
-	}
-	for i := 0; i < rows; i++ {
-		a.RowPtr[i+1] += a.RowPtr[i]
-	}
-	return a, nil
-}
-
-// NewCSRFromDense builds a CSR matrix from a dense representation,
-// storing entries with |v| > 0. Intended for tests.
-func NewCSRFromDense(d [][]float64) *CSR {
-	rows := len(d)
-	cols := 0
-	if rows > 0 {
-		cols = len(d[0])
-	}
-	a := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
-	for i, r := range d {
-		if len(r) != cols {
-			panic("matrix: ragged dense input")
-		}
-		for j, v := range r {
-			if v != 0 {
-				a.ColIdx = append(a.ColIdx, int32(j))
-				a.Val = append(a.Val, v)
-			}
-		}
-		a.RowPtr[i+1] = int64(len(a.ColIdx))
-	}
-	return a
 }
 
 // ErrNotCSR reports an operation that requires canonical CSR form.

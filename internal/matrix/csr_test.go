@@ -1,20 +1,22 @@
-package matrix
+package matrix_test
 
 import (
 	"math"
 	"math/rand"
 	"reflect"
+	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 	"testing"
 	"testing/quick"
 )
 
-func testMatrix() *CSR {
+func testMatrix() *matrix.CSR {
 	// 4x5:
 	// [1 0 2 0 0]
 	// [0 3 0 0 0]
 	// [0 0 0 0 0]
 	// [4 0 0 5 6]
-	return NewCSRFromDense([][]float64{
+	return matrixtest.NewCSRFromDense([][]float64{
 		{1, 0, 2, 0, 0},
 		{0, 3, 0, 0, 0},
 		{0, 0, 0, 0, 0},
@@ -69,7 +71,7 @@ func TestNnzRow(t *testing.T) {
 	if got := a.NnzRow(); got != 1.5 {
 		t.Errorf("NnzRow = %g, want 1.5", got)
 	}
-	empty := &CSR{RowPtr: []int64{0}}
+	empty := &matrix.CSR{RowPtr: []int64{0}}
 	if got := empty.NnzRow(); got != 0 {
 		t.Errorf("empty NnzRow = %g, want 0", got)
 	}
@@ -77,12 +79,12 @@ func TestNnzRow(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	a := testMatrix()
-	at := a.Transpose()
+	at := matrixtest.Transpose(a)
 	if err := at.Validate(); err != nil {
 		t.Fatalf("transpose Validate: %v", err)
 	}
-	d := a.Dense()
-	dt := at.Dense()
+	d := matrixtest.Dense(a)
+	dt := matrixtest.Dense(at)
 	for i := range d {
 		for j := range d[i] {
 			if d[i][j] != dt[j][i] {
@@ -91,58 +93,58 @@ func TestTranspose(t *testing.T) {
 		}
 	}
 	// Double transpose is the identity.
-	if !a.Equal(at.Transpose()) {
+	if !matrixtest.Equal(a, matrixtest.Transpose(at)) {
 		t.Error("(Aᵀ)ᵀ != A")
 	}
 }
 
 func TestSymmetry(t *testing.T) {
-	sym := NewCSRFromDense([][]float64{
+	sym := matrixtest.NewCSRFromDense([][]float64{
 		{2, -1, 0},
 		{-1, 2, -1},
 		{0, -1, 2},
 	})
-	if !sym.IsStructurallySymmetric() {
+	if !matrixtest.IsStructurallySymmetric(sym) {
 		t.Error("tridiagonal Laplacian reported structurally asymmetric")
 	}
-	if !sym.IsSymmetric(0) {
+	if !matrixtest.IsSymmetric(sym, 0) {
 		t.Error("tridiagonal Laplacian reported numerically asymmetric")
 	}
-	asym := NewCSRFromDense([][]float64{
+	asym := matrixtest.NewCSRFromDense([][]float64{
 		{2, -1, 0},
 		{0, 2, -1},
 		{0, -1, 2},
 	})
-	if asym.IsStructurallySymmetric() {
+	if matrixtest.IsStructurallySymmetric(asym) {
 		t.Error("asymmetric pattern reported symmetric")
 	}
-	numAsym := NewCSRFromDense([][]float64{
+	numAsym := matrixtest.NewCSRFromDense([][]float64{
 		{2, -1},
 		{1, 2},
 	})
-	if numAsym.IsSymmetric(0) {
+	if matrixtest.IsSymmetric(numAsym, 0) {
 		t.Error("numerically asymmetric matrix reported symmetric")
 	}
-	if !numAsym.IsStructurallySymmetric() {
+	if !matrixtest.IsStructurallySymmetric(numAsym) {
 		t.Error("structurally symmetric matrix reported asymmetric")
 	}
 	rect := testMatrix()
-	if rect.IsStructurallySymmetric() {
+	if matrixtest.IsStructurallySymmetric(rect) {
 		t.Error("rectangular matrix reported symmetric")
 	}
 }
 
 func TestExtractRows(t *testing.T) {
 	a := testMatrix()
-	sub := a.ExtractRows(1, 4)
+	sub := matrixtest.ExtractRows(a, 1, 4)
 	if sub.NumRows != 3 || sub.NumCols != 5 {
 		t.Fatalf("sub dims = %dx%d, want 3x5", sub.NumRows, sub.NumCols)
 	}
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	want := a.Dense()[1:]
-	if !reflect.DeepEqual(sub.Dense(), want) {
+	want := matrixtest.Dense(a)[1:]
+	if !reflect.DeepEqual(matrixtest.Dense(sub), want) {
 		t.Errorf("ExtractRows dense mismatch")
 	}
 }
@@ -156,16 +158,16 @@ func TestRestrictCols(t *testing.T) {
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	want := NewCSRFromDense([][]float64{
+	want := matrixtest.NewCSRFromDense([][]float64{
 		{0, 0, 2, 0, 0},
 		{0, 3, 0, 0, 0},
 		{0, 0, 0, 0, 0},
 		{0, 0, 0, 5, 0},
 	})
-	if !sub.Equal(want) {
-		t.Errorf("RestrictCols(1,4) mismatch:\n%v", sub.Dense())
+	if !matrixtest.Equal(sub, want) {
+		t.Errorf("RestrictCols(1,4) mismatch:\n%v", matrixtest.Dense(sub))
 	}
-	if !a.RestrictCols(0, 5).Equal(a) {
+	if !matrixtest.Equal(a.RestrictCols(0, 5), a) {
 		t.Error("full-range restriction changed the matrix")
 	}
 	if a.RestrictCols(2, 2).Nnz() != 0 {
@@ -184,7 +186,7 @@ func TestRestrictCols(t *testing.T) {
 }
 
 func TestCSRBuilder(t *testing.T) {
-	b := CSRBuilder{}
+	b := matrix.CSRBuilder{}
 	if b.Name() != "crs" {
 		t.Errorf("Name() = %q", b.Name())
 	}
@@ -193,14 +195,14 @@ func TestCSRBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.(*CSR) != a {
+	if full.(*matrix.CSR) != a {
 		t.Error("Build must return the matrix itself")
 	}
 	part, err := b.BuildColRange(a, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !part.(*CSR).Equal(a.RestrictCols(1, 4)) {
+	if !matrixtest.Equal(part.(*matrix.CSR), a.RestrictCols(1, 4)) {
 		t.Error("BuildColRange differs from RestrictCols")
 	}
 	// Same failure contract as the other builders: an error, not a panic.
@@ -210,14 +212,14 @@ func TestCSRBuilder(t *testing.T) {
 }
 
 func TestCooDuplicatesSummed(t *testing.T) {
-	entries := []Coord{
-		{0, 0, 1}, {0, 0, 2}, {1, 1, 3}, {0, 1, -1}, {0, 1, 1},
+	entries := []matrixtest.Coord{
+		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 0, Val: 2}, {Row: 1, Col: 1, Val: 3}, {Row: 0, Col: 1, Val: -1}, {Row: 0, Col: 1, Val: 1},
 	}
-	a, err := NewCSRFromCOO(2, 2, entries)
+	a, err := matrixtest.NewCSRFromCOO(2, 2, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := a.Dense()
+	d := matrixtest.Dense(a)
 	if d[0][0] != 3 {
 		t.Errorf("duplicate (0,0) sum = %g, want 3", d[0][0])
 	}
@@ -231,10 +233,10 @@ func TestCooDuplicatesSummed(t *testing.T) {
 }
 
 func TestCooOutOfRange(t *testing.T) {
-	if _, err := NewCSRFromCOO(2, 2, []Coord{{2, 0, 1}}); err == nil {
+	if _, err := matrixtest.NewCSRFromCOO(2, 2, []matrixtest.Coord{{Row: 2, Col: 0, Val: 1}}); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := NewCSRFromCOO(2, 2, []Coord{{0, -1, 1}}); err == nil {
+	if _, err := matrixtest.NewCSRFromCOO(2, 2, []matrixtest.Coord{{Row: 0, Col: -1, Val: 1}}); err == nil {
 		t.Error("negative column accepted")
 	}
 }
@@ -260,8 +262,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 // RandomCSR builds a random sparse matrix for tests: each row gets between
 // 1 and maxPerRow entries at distinct random columns.
-func RandomCSR(rng *rand.Rand, rows, cols, maxPerRow int) *CSR {
-	entries := make([]Coord, 0, rows*maxPerRow)
+func RandomCSR(rng *rand.Rand, rows, cols, maxPerRow int) *matrix.CSR {
+	entries := make([]matrixtest.Coord, 0, rows*maxPerRow)
 	for i := 0; i < rows; i++ {
 		n := 1 + rng.Intn(maxPerRow)
 		seen := map[int32]bool{}
@@ -269,11 +271,11 @@ func RandomCSR(rng *rand.Rand, rows, cols, maxPerRow int) *CSR {
 			c := int32(rng.Intn(cols))
 			if !seen[c] {
 				seen[c] = true
-				entries = append(entries, Coord{int32(i), c, rng.NormFloat64()})
+				entries = append(entries, matrixtest.Coord{Row: int32(i), Col: c, Val: rng.NormFloat64()})
 			}
 		}
 	}
-	a, err := NewCSRFromCOO(rows, cols, entries)
+	a, err := matrixtest.NewCSRFromCOO(rows, cols, entries)
 	if err != nil {
 		panic(err)
 	}
@@ -293,7 +295,7 @@ func TestMulVecMatchesDenseProperty(t *testing.T) {
 		}
 		y := make([]float64, rows)
 		a.MulVec(y, x)
-		d := a.Dense()
+		d := matrixtest.Dense(a)
 		for i := 0; i < rows; i++ {
 			var want float64
 			for j := 0; j < cols; j++ {
@@ -315,7 +317,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := RandomCSR(rng, 1+rng.Intn(30), 1+rng.Intn(30), 5)
-		return a.Equal(a.Transpose().Transpose())
+		return matrixtest.Equal(a, matrixtest.Transpose(matrixtest.Transpose(a)))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -323,7 +325,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 }
 
 func TestSortRows(t *testing.T) {
-	a := &CSR{
+	a := &matrix.CSR{
 		NumRows: 2, NumCols: 4,
 		RowPtr: []int64{0, 3, 4},
 		ColIdx: []int32{2, 0, 1, 3},
@@ -340,8 +342,8 @@ func TestSortRows(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	a := testMatrix()
-	b := a.Clone()
-	if !a.Equal(b) {
+	b := matrixtest.Clone(a)
+	if !matrixtest.Equal(a, b) {
 		t.Fatal("clone not equal")
 	}
 	b.Val[0] = 99

@@ -127,6 +127,7 @@ func (a *CSR) MulVecBlocksAdd(y, x []float64, lo, hi int) {
 // compacted-halo results bit-identical.
 //
 //repro:noalloc
+//repro:api the reference summation order the row-kernel tests pin the inline kernels to
 func RowDot(s float64, val []float64, colIdx []int32, x []float64, lo, hi int64) float64 {
 	k := lo
 	for ; k+4 <= hi; k += 4 {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/genmat"
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 )
 
 // materializeSerial is the reference Materialize is checked against: one
@@ -62,14 +63,14 @@ func (s shuffled) AppendRowValues(i int, cols []int32, vals []float64) ([]int32,
 // than the insertion-sort limit. n must be at least 200.
 func wideRows(n int) *matrix.CSR {
 	rng := rand.New(rand.NewSource(5))
-	var entries []matrix.Coord
+	var entries []matrixtest.Coord
 	for i := 0; i < n; i++ {
 		width := []int{0, 3, 65, 200}[i%4]
 		for _, c := range rng.Perm(n)[:width] {
-			entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(c), Val: rng.NormFloat64()})
+			entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32(c), Val: rng.NormFloat64()})
 		}
 	}
-	a, err := matrix.NewCSRFromCOO(n, n, entries)
+	a, err := matrixtest.NewCSRFromCOO(n, n, entries)
 	if err != nil {
 		panic(err)
 	}
@@ -100,7 +101,7 @@ func testSources(t testing.TB) map[string]matrix.ValueSource {
 		"randomband":    band,
 		"csr":           wide,
 		"shuffled-wide": shuffled{wide},
-		"one-row":       shuffled{wideRows(260).ExtractRows(3, 4)},
+		"one-row":       shuffled{matrixtest.ExtractRows(wideRows(260), 3, 4)},
 		"no-rows":       &matrix.CSR{NumCols: 3, RowPtr: []int64{0}},
 	}
 }

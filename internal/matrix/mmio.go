@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
-// Matrix Market coordinate-format I/O. Only the subset needed for exchanging
-// the study's test matrices is implemented: real/integer/pattern values,
-// general or symmetric layout, coordinate storage.
+// Matrix Market output. The package writes the coordinate real general
+// format so that the study's matrices can be handed to other tools; it
+// reads no Matrix Market file.
 
 // WriteMatrixMarket writes the matrix in Matrix Market coordinate real
 // general format (1-based indices).
@@ -30,94 +28,4 @@ func WriteMatrixMarket(w io.Writer, a *CSR) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadMatrixMarket parses a Matrix Market coordinate file. Symmetric and
-// skew-symmetric storage is expanded to full general storage. Pattern files
-// get value 1 for every entry.
-func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-
-	if !sc.Scan() {
-		return nil, fmt.Errorf("matrix: empty Matrix Market stream")
-	}
-	header := strings.Fields(strings.ToLower(sc.Text()))
-	if len(header) < 5 || header[0] != "%%matrixmarket" || header[1] != "matrix" {
-		return nil, fmt.Errorf("matrix: bad Matrix Market header %q", sc.Text())
-	}
-	if header[2] != "coordinate" {
-		return nil, fmt.Errorf("matrix: only coordinate format supported, got %q", header[2])
-	}
-	valType := header[3]
-	switch valType {
-	case "real", "integer", "pattern":
-	default:
-		return nil, fmt.Errorf("matrix: unsupported value type %q", valType)
-	}
-	symmetry := header[4]
-	switch symmetry {
-	case "general", "symmetric", "skew-symmetric":
-	default:
-		return nil, fmt.Errorf("matrix: unsupported symmetry %q", symmetry)
-	}
-
-	// Skip comments, read the size line.
-	var rows, cols, declared int
-	for {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("matrix: missing size line")
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		if _, err := fmt.Sscanf(line, "%d %d %d", &rows, &cols, &declared); err != nil {
-			return nil, fmt.Errorf("matrix: bad size line %q: %w", line, err)
-		}
-		break
-	}
-
-	entries := make([]Coord, 0, declared*2)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		want := 3
-		if valType == "pattern" {
-			want = 2
-		}
-		if len(fields) < want {
-			return nil, fmt.Errorf("matrix: short entry line %q", line)
-		}
-		i, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("matrix: bad row index in %q: %w", line, err)
-		}
-		j, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("matrix: bad column index in %q: %w", line, err)
-		}
-		v := 1.0
-		if valType != "pattern" {
-			v, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("matrix: bad value in %q: %w", line, err)
-			}
-		}
-		entries = append(entries, Coord{Row: int32(i - 1), Col: int32(j - 1), Val: v})
-		if symmetry != "general" && i != j {
-			off := v
-			if symmetry == "skew-symmetric" {
-				off = -v
-			}
-			entries = append(entries, Coord{Row: int32(j - 1), Col: int32(i - 1), Val: off})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return NewCSRFromCOO(rows, cols, entries)
 }

@@ -1,15 +1,17 @@
-package matrix
+package matrix_test
 
 import (
 	"math"
 	"math/rand"
+	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 	"strings"
 	"testing"
 )
 
 func TestRowNnzCounts(t *testing.T) {
 	a := testMatrix()
-	counts := RowNnzCounts(a)
+	counts := matrix.RowNnzCounts(a)
 	want := []int64{2, 1, 0, 3}
 	for i := range want {
 		if counts[i] != want[i] {
@@ -19,13 +21,13 @@ func TestRowNnzCounts(t *testing.T) {
 }
 
 func TestComputeStats(t *testing.T) {
-	a := NewCSRFromDense([][]float64{
+	a := matrixtest.NewCSRFromDense([][]float64{
 		{2, -1, 0, 0},
 		{-1, 2, -1, 0},
 		{0, -1, 2, -1},
 		{0, 0, -1, 2},
 	})
-	s := ComputeStats(a)
+	s := matrix.ComputeStats(a)
 	if s.Rows != 4 || s.Cols != 4 {
 		t.Errorf("dims %dx%d", s.Rows, s.Cols)
 	}
@@ -49,8 +51,8 @@ func TestComputeStats(t *testing.T) {
 func TestMaterializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := RandomCSR(rng, 37, 23, 6)
-	b := Materialize(a)
-	if !a.Equal(b) {
+	b := matrix.Materialize(a)
+	if !matrixtest.Equal(a, b) {
 		t.Error("Materialize(CSR) != CSR")
 	}
 }
@@ -63,8 +65,8 @@ func TestBlockOccupancyDiagonal(t *testing.T) {
 		d[i] = make([]float64, n)
 		d[i][i] = 1
 	}
-	a := NewCSRFromDense(d)
-	occ := BlockOccupancy(a, 8)
+	a := matrixtest.NewCSRFromDense(d)
+	occ := matrix.BlockOccupancy(a, 8)
 	for bi := 0; bi < 8; bi++ {
 		for bj := 0; bj < 8; bj++ {
 			if bi == bj {
@@ -91,8 +93,8 @@ func TestBlockOccupancyUnevenDivision(t *testing.T) {
 			d[i][j] = 1
 		}
 	}
-	a := NewCSRFromDense(d)
-	occ := BlockOccupancy(a, 3)
+	a := matrixtest.NewCSRFromDense(d)
+	occ := matrix.BlockOccupancy(a, 3)
 	for bi := range occ {
 		for bj := range occ[bi] {
 			if math.Abs(occ[bi][bj]-1) > 1e-12 {
@@ -104,7 +106,7 @@ func TestBlockOccupancyUnevenDivision(t *testing.T) {
 
 func TestRenderOccupancy(t *testing.T) {
 	occ := [][]float64{{0, 0.5}, {1e-7, 1e-3}}
-	s := RenderOccupancy(occ)
+	s := matrix.RenderOccupancy(occ)
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) != 2 || len(lines[0]) != 2 {
 		t.Fatalf("render shape wrong: %q", s)

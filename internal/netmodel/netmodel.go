@@ -34,12 +34,6 @@ type Network struct {
 	placement []int
 }
 
-// New builds the network resources for a cluster of the given node count,
-// with a torus sized to exactly fit the job.
-func New(sys *fluid.System, spec machine.NetSpec, nodes int) *Network {
-	return NewSized(sys, spec, nodes, nodes)
-}
-
 // NewSized builds the network with a torus of at least `slots` node slots —
 // larger than the job when modeling a fragmented allocation on a big shared
 // machine (the paper's "job topology and machine load" effect on the XE6).

@@ -25,7 +25,7 @@ func torusSpec() machine.NetSpec {
 
 func TestFatTreePathIsEndpointLinks(t *testing.T) {
 	sys := fluid.NewSystem(des.New())
-	n := New(sys, fatTreeSpec(), 4)
+	n := NewSized(sys, fatTreeSpec(), 4, 4)
 	path, lat := n.Path(1, 3)
 	if len(path) != 2 {
 		t.Fatalf("fat tree path has %d resources, want 2", len(path))
@@ -40,7 +40,7 @@ func TestFatTreePathIsEndpointLinks(t *testing.T) {
 
 func TestSelfPathUsesIntranode(t *testing.T) {
 	sys := fluid.NewSystem(des.New())
-	n := New(sys, fatTreeSpec(), 3)
+	n := NewSized(sys, fatTreeSpec(), 3, 3)
 	path, lat := n.Path(2, 2)
 	if len(path) != 1 || path[0] != n.intra[2] {
 		t.Error("self path should be the intranode channel")
@@ -67,8 +67,8 @@ func TestTorusDims(t *testing.T) {
 
 func TestTorusNeighbourPath(t *testing.T) {
 	sys := fluid.NewSystem(des.New())
-	n := New(sys, torusSpec(), 9) // 3x3
-	path, lat := n.Path(0, 1)     // (0,0) → (1,0): one +x hop
+	n := NewSized(sys, torusSpec(), 9, 9) // 3x3
+	path, lat := n.Path(0, 1)             // (0,0) → (1,0): one +x hop
 	if len(path) != 1 || path[0] != n.xPos[0] {
 		t.Errorf("neighbour path wrong: %d resources", len(path))
 	}
@@ -79,7 +79,7 @@ func TestTorusNeighbourPath(t *testing.T) {
 
 func TestTorusDimensionOrderedRoute(t *testing.T) {
 	sys := fluid.NewSystem(des.New())
-	n := New(sys, torusSpec(), 9) // 3x3
+	n := NewSized(sys, torusSpec(), 9, 9) // 3x3
 	// (0,0) → (1,1): +x from node 0, then +y from node 1.
 	path, _ := n.Path(0, 4)
 	if len(path) != 2 {
@@ -92,7 +92,7 @@ func TestTorusDimensionOrderedRoute(t *testing.T) {
 
 func TestTorusWrapChoosesShortWay(t *testing.T) {
 	sys := fluid.NewSystem(des.New())
-	n := New(sys, torusSpec(), 16) // 4x4
+	n := NewSized(sys, torusSpec(), 16, 16) // 4x4
 	// (0,0) → (3,0): one -x wrap hop, not three +x hops.
 	path, _ := n.Path(0, 3)
 	if len(path) != 1 || path[0] != n.xNeg[0] {
@@ -105,7 +105,7 @@ func TestTorusContentionSharesLink(t *testing.T) {
 	// two flows on disjoint links run at full rate.
 	sim := des.New()
 	sys := fluid.NewSystem(sim)
-	n := New(sys, torusSpec(), 9) // 3x3, link bw 100
+	n := NewSized(sys, torusSpec(), 9, 9) // 3x3, link bw 100
 	var sharedDone, disjointDone float64
 	sim.Spawn("shared", func(p *des.Proc) {
 		// 0→1 and 0→2 both leave node 0 on +x (dimension-ordered).
@@ -115,7 +115,8 @@ func TestTorusContentionSharesLink(t *testing.T) {
 		f1 := sys.Start(100, pa...)
 		pb2, _ := n.Path(0, 4) // first hop +x from node 0
 		f2 := sys.Start(100, pb2...)
-		p.WaitAll(f1.Done, f2.Done)
+		p.Wait(f1.Done)
+		p.Wait(f2.Done)
 		sharedDone = p.Now()
 	})
 	if err := sim.Run(); err != nil {
@@ -123,13 +124,14 @@ func TestTorusContentionSharesLink(t *testing.T) {
 	}
 	sim2 := des.New()
 	sys2 := fluid.NewSystem(sim2)
-	n2 := New(sys2, torusSpec(), 9)
+	n2 := NewSized(sys2, torusSpec(), 9, 9)
 	sim2.Spawn("disjoint", func(p *des.Proc) {
 		pa, _ := n2.Path(0, 1) // +x from 0
 		pb, _ := n2.Path(0, 3) // (0,0)→(0,1): +y from 0
 		f1 := sys2.Start(100, pa...)
 		f2 := sys2.Start(100, pb...)
-		p.WaitAll(f1.Done, f2.Done)
+		p.Wait(f1.Done)
+		p.Wait(f2.Done)
 		disjointDone = p.Now()
 	})
 	if err := sim2.Run(); err != nil {
@@ -147,7 +149,7 @@ func TestFatTreeNonblockingBisection(t *testing.T) {
 	// Permutation traffic on a fat tree: all flows run at full link rate.
 	sim := des.New()
 	sys := fluid.NewSystem(sim)
-	n := New(sys, fatTreeSpec(), 4)
+	n := NewSized(sys, fatTreeSpec(), 4, 4)
 	var done [4]float64
 	for i := 0; i < 4; i++ {
 		i := i
@@ -170,7 +172,7 @@ func TestFatTreeNonblockingBisection(t *testing.T) {
 
 func TestSetPlacementValidation(t *testing.T) {
 	sys := fluid.NewSystem(des.New())
-	n := New(sys, torusSpec(), 4)
+	n := NewSized(sys, torusSpec(), 4, 4)
 	mustPanic := func(name string, p []int) {
 		defer func() {
 			if recover() == nil {
@@ -187,7 +189,7 @@ func TestSetPlacementValidation(t *testing.T) {
 
 func TestPlacementChangesRoute(t *testing.T) {
 	sys := fluid.NewSystem(des.New())
-	n := New(sys, torusSpec(), 9)
+	n := NewSized(sys, torusSpec(), 9, 9)
 	before, _ := n.Path(0, 1)
 	n.SetPlacement([]int{0, 8, 1, 2, 3, 4, 5, 6, 7}) // logical 1 now far away
 	after, _ := n.Path(0, 1)

@@ -20,13 +20,13 @@ func CodeBalance(nnzr, kappa float64) float64 {
 	return 6 + 12/nnzr + kappa/2
 }
 
-// SplitCodeBalance returns the split-kernel balance (Eq. 2):
+// splitCodeBalance returns the split-kernel balance (Eq. 2):
 //
 //	B_split = 6 + 20/Nnzr + κ/2
 //
 // The extra 8/Nnzr bytes/flop come from writing the result vector twice in
 // the overlap variants (Fig. 4b/4c).
-func SplitCodeBalance(nnzr, kappa float64) float64 {
+func splitCodeBalance(nnzr, kappa float64) float64 {
 	if nnzr <= 0 {
 		panic(fmt.Sprintf("perfmodel: nnzr %g must be positive", nnzr))
 	}
@@ -46,6 +46,8 @@ func MaxPerformance(bandwidth, balance float64) float64 {
 // KappaFromMeasurement inverts Eq. 1: given the measured spMVM memory
 // bandwidth (bytes/s), the measured performance (flop/s) and Nnzr, it
 // returns the experimentally realized κ (§2: κ = 2.5 for HMeP on Nehalem).
+//
+//repro:api the paper's model, kept for the reproduction scorecard (ROADMAP item 9)
 func KappaFromMeasurement(bandwidth, performance, nnzr float64) float64 {
 	if performance <= 0 {
 		panic(fmt.Sprintf("perfmodel: performance %g must be positive", performance))
@@ -57,6 +59,8 @@ func KappaFromMeasurement(bandwidth, performance, nnzr float64) float64 {
 // KappaFromTraffic converts measured excess B(:) traffic into κ: extra is
 // the number of bytes of B(:) loaded from memory beyond the compulsory
 // first load, nnz the number of inner-loop iterations.
+//
+//repro:api the paper's model, kept for the reproduction scorecard (ROADMAP item 9)
 func KappaFromTraffic(extraBytes float64, nnz int64) float64 {
 	if nnz <= 0 {
 		panic("perfmodel: nnz must be positive")
@@ -67,6 +71,8 @@ func KappaFromTraffic(extraBytes float64, nnz int64) float64 {
 // RHSLoadFactor returns how many times the full B(:) vector is effectively
 // loaded from main memory: 1 (compulsory) + κ·Nnzr/8 extra. The paper's §2
 // example: κ = 2.5, Nnzr = 15 → B(:) loaded about six times.
+//
+//repro:api the paper's model, kept for the reproduction scorecard (ROADMAP item 9)
 func RHSLoadFactor(kappa, nnzr float64) float64 {
 	return 1 + kappa*nnzr/8
 }
@@ -74,8 +80,10 @@ func RHSLoadFactor(kappa, nnzr float64) float64 {
 // SplitPenalty returns the predicted relative slowdown of the split kernel
 // versus the monolithic kernel at equal bandwidth: B_split/B_CRS - 1.
 // For Nnzr ≈ 7…15 and κ = 0 this is the paper's "between 15% and 8%".
+//
+//repro:api the paper's model, kept for the reproduction scorecard (ROADMAP item 9)
 func SplitPenalty(nnzr, kappa float64) float64 {
-	return SplitCodeBalance(nnzr, kappa)/CodeBalance(nnzr, kappa) - 1
+	return splitCodeBalance(nnzr, kappa)/CodeBalance(nnzr, kappa) - 1
 }
 
 // Prediction bundles the model outputs for one machine/matrix combination.
@@ -89,12 +97,14 @@ type Prediction struct {
 }
 
 // Predict evaluates the model for a measured bandwidth (bytes/s).
+//
+//repro:api the paper's model, kept for the reproduction scorecard (ROADMAP item 9)
 func Predict(bandwidth, nnzr, kappa float64) Prediction {
 	return Prediction{
 		Nnzr:           nnzr,
 		Kappa:          kappa,
 		Balance:        CodeBalance(nnzr, kappa),
-		SplitBalance:   SplitCodeBalance(nnzr, kappa),
+		SplitBalance:   splitCodeBalance(nnzr, kappa),
 		MaxGFlops:      MaxPerformance(bandwidth, CodeBalance(nnzr, 0)) / 1e9,
 		ExpectedGFlops: MaxPerformance(bandwidth, CodeBalance(nnzr, kappa)) / 1e9,
 	}

@@ -68,7 +68,7 @@ func TestSplitVsPlainBalanceRelation(t *testing.T) {
 	// B_split - B_CRS = 8/Nnzr exactly, for any κ.
 	for _, nnzr := range []float64{3, 7, 15, 40} {
 		for _, kappa := range []float64{0, 1.3, 5} {
-			diff := SplitCodeBalance(nnzr, kappa) - CodeBalance(nnzr, kappa)
+			diff := splitCodeBalance(nnzr, kappa) - CodeBalance(nnzr, kappa)
 			almost(t, "B_split-B_CRS", diff, 8/nnzr, 1e-12)
 		}
 	}
@@ -102,7 +102,7 @@ func TestPredictBundle(t *testing.T) {
 func TestPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"CodeBalance":          func() { CodeBalance(0, 0) },
-		"SplitCodeBalance":     func() { SplitCodeBalance(-1, 0) },
+		"splitCodeBalance":     func() { splitCodeBalance(-1, 0) },
 		"MaxPerformance":       func() { MaxPerformance(1e9, 0) },
 		"KappaFromMeasurement": func() { KappaFromMeasurement(1e9, 0, 15) },
 		"KappaFromTraffic":     func() { KappaFromTraffic(1, 0) },

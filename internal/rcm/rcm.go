@@ -4,7 +4,6 @@
 package rcm
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/matrix"
@@ -14,33 +13,6 @@ import (
 type Permutation struct {
 	Perm []int32 // Perm[new] = old
 	Inv  []int32 // Inv[old] = new
-}
-
-// Identity returns the identity permutation of size n.
-func Identity(n int) *Permutation {
-	p := &Permutation{Perm: make([]int32, n), Inv: make([]int32, n)}
-	for i := range p.Perm {
-		p.Perm[i] = int32(i)
-		p.Inv[i] = int32(i)
-	}
-	return p
-}
-
-// Validate checks that the permutation is a bijection.
-func (p *Permutation) Validate() error {
-	n := len(p.Perm)
-	if len(p.Inv) != n {
-		return fmt.Errorf("rcm: perm/inv length mismatch %d vs %d", n, len(p.Inv))
-	}
-	for i, old := range p.Perm {
-		if old < 0 || int(old) >= n {
-			return fmt.Errorf("rcm: Perm[%d] = %d out of range", i, old)
-		}
-		if p.Inv[old] != int32(i) {
-			return fmt.Errorf("rcm: Inv[Perm[%d]] = %d, want %d", i, p.Inv[old], i)
-		}
-	}
-	return nil
 }
 
 // ReverseCuthillMcKee computes the RCM ordering of a structurally symmetric

@@ -22,7 +22,7 @@ import (
 // cluster — and the server must keep serving afterwards.
 func TestDeadlineExpiredInQueue(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	s.pauseDispatch()
@@ -82,7 +82,7 @@ func TestMidJobDeadlineOnlyAffectsItsRequest(t *testing.T) {
 			return func(int) core.Transport { return faulty }
 		},
 	})
-	info, err := s.Register("m", testSpec)
+	info, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestMidJobDeadlineOnlyAffectsItsRequest(t *testing.T) {
 	if mate.err != nil {
 		t.Fatalf("batch-mate failed: %v (a deadline is final for ITS request only)", mate.err)
 	}
-	if err := ver.Check(OpMul, 4, 1, 0, 0, mate.y); err != nil {
+	if err := ver.check(OpMul, 4, 1, 0, 0, mate.y); err != nil {
 		t.Errorf("batch-mate after the interrupted epoch: %v", err)
 	}
 	// The cluster stays usable and later traffic is bit-identical.
@@ -130,7 +130,7 @@ func TestMidJobDeadlineOnlyAffectsItsRequest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mul seed %d after the gray failure: %v", seed, err)
 		}
-		if err := ver.Check(OpMul, seed, 1, 0, 0, resp.Y); err != nil {
+		if err := ver.check(OpMul, seed, 1, 0, 0, resp.Y); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 			return func(int) core.Transport { return faulty }
 		},
 	})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	r := &Request{Tenant: "a", Matrix: "m", Op: OpMul, Seed: 1}
@@ -222,7 +222,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 			return func(int) core.Transport { return tr }
 		},
 	})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	// The canary is admitted while the pool is broken; it sits on the
@@ -284,7 +284,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 // window, a probe give-up reopens, a served batch closes.
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2, BreakerThreshold: 2, BreakerCooldown: time.Minute})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	s.mu.Lock()
@@ -337,7 +337,7 @@ func TestBrownoutShedsLowestPriority(t *testing.T) {
 		Ranks: 2, Sessions: 1, QueueDepth: 64, InflightCap: 16,
 		BrownoutHigh: 12, BrownoutLow: 4, BrownoutAfter: time.Millisecond,
 	})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	// Unloaded baseline: per-request execution time on a warm cluster.
@@ -443,7 +443,7 @@ func TestBrownoutShedsLowestPriority(t *testing.T) {
 // and returns once the server is quiet.
 func TestDrainGraceful(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2, Sessions: 1})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	s.pauseDispatch()

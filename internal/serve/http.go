@@ -131,7 +131,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		format = f
 	}
-	info, err := s.RegisterWith(req.Name, req.Spec, mode, format)
+	info, err := s.registerWith(req.Name, req.Spec, mode, format)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -140,7 +140,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	info, err := s.Matrix(r.PathValue("name"))
+	info, err := s.matrixInfo(r.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -208,7 +208,7 @@ func (s *Server) readOpFrame(body io.Reader, op Op) (*Request, error) {
 		if err := req.validate(); err != nil {
 			return nil, err
 		}
-		info, err := s.Matrix(req.Matrix)
+		info, err := s.matrixInfo(req.Matrix)
 		if err != nil {
 			return nil, err
 		}

@@ -70,7 +70,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ver.Close()
-	if err := ver.Check(OpMul, 3, 2, 0, 0, mul.Y); err != nil {
+	if err := ver.check(OpMul, 3, 2, 0, 0, mul.Y); err != nil {
 		t.Errorf("HTTP mul result not bit-identical: %v", err)
 	}
 
@@ -129,7 +129,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("bad format status %d", resp.StatusCode)
 	}
 	msg = decodeError(t, resp)
-	for _, tok := range core.FormatTokens() {
+	for _, tok := range []string{"crs", "csr", "sell-<C>-<sigma>"} {
 		if !strings.Contains(msg, tok) {
 			t.Errorf("400 body %q does not enumerate format token %q", msg, tok)
 		}
@@ -153,7 +153,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 
 	// Fill the depth-1 queue with the dispatcher frozen; the next request
 	// must bounce with 429.
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatal(err)
 	}
 	s.pauseDispatch()

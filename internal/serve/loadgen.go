@@ -104,17 +104,17 @@ type StatusError struct {
 
 func (e *StatusError) Error() string { return fmt.Sprintf("serve: HTTP %d: %s", e.Code, e.Msg) }
 
-// Rejected reports whether the error is an admission rejection (HTTP 429).
-func (e *StatusError) Rejected() bool { return e.Code == http.StatusTooManyRequests }
+// rejected reports whether the error is an admission rejection (HTTP 429).
+func (e *StatusError) rejected() bool { return e.Code == http.StatusTooManyRequests }
 
-// DeadlineExceeded reports whether the request missed its end-to-end
+// deadlineExceeded reports whether the request missed its end-to-end
 // deadline (HTTP 504, a *core.DeadlineError server-side).
-func (e *StatusError) DeadlineExceeded() bool { return e.Code == http.StatusGatewayTimeout }
+func (e *StatusError) deadlineExceeded() bool { return e.Code == http.StatusGatewayTimeout }
 
-// Shed reports whether the server refused the request to protect itself
+// shed reports whether the server refused the request to protect itself
 // (HTTP 503): brown-out shedding, an open circuit breaker, or a
 // draining/closed server.
-func (e *StatusError) Shed() bool { return e.Code == http.StatusServiceUnavailable }
+func (e *StatusError) shed() bool { return e.Code == http.StatusServiceUnavailable }
 
 // Register registers a matrix and returns its geometry.
 func (c *Client) Register(req RegisterRequest) (MatrixInfo, error) {
@@ -126,19 +126,8 @@ func (c *Client) Register(req RegisterRequest) (MatrixInfo, error) {
 // Mul requests y = A^iters·x.
 func (c *Client) Mul(req OpRequest) (*Response, error) { return c.op("/v1/mul", req) }
 
-// Solve requests a CG solve.
-func (c *Client) Solve(req OpRequest) (*Response, error) { return c.op("/v1/solve", req) }
-
-// Stats fetches the server's counters.
-func (c *Client) Stats() (Stats, error) {
-	var st Stats
-	hr, err := c.send(http.MethodGet, "/v1/stats", "", nil)
-	if err != nil {
-		return st, err
-	}
-	defer hr.Body.Close()
-	return st, json.NewDecoder(hr.Body).Decode(&st)
-}
+// solve requests a CG solve.
+func (c *Client) solve(req OpRequest) (*Response, error) { return c.op("/v1/solve", req) }
 
 // Verifier checks served responses bit for bit against an independently
 // built reference cluster with the server's exact geometry (same spec,
@@ -229,8 +218,8 @@ func (v *Verifier) Expected(op Op, seed int64, iters int, tol float64, maxIter i
 	return y, nil
 }
 
-// Check compares a served result bit for bit against the reference.
-func (v *Verifier) Check(op Op, seed int64, iters int, tol float64, maxIter int, got []float64) error {
+// check compares a served result bit for bit against the reference.
+func (v *Verifier) check(op Op, seed int64, iters int, tol float64, maxIter int, got []float64) error {
 	want, err := v.Expected(op, seed, iters, tol, maxIter)
 	if err != nil {
 		return fmt.Errorf("serve: reference computation: %w", err)
@@ -393,13 +382,13 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 			op = OpSolve
 			req.Tol = cfg.Tol
 			req.MaxIter = cfg.MaxIter
-			resp, err = cfg.Client.Solve(req)
+			resp, err = cfg.Client.solve(req)
 		}
 		elapsed := time.Since(start).Seconds() * 1000
 
 		var verifyErr error
 		if err == nil && ver != nil {
-			verifyErr = ver.Check(op, seed, cfg.Iters, cfg.Tol, cfg.MaxIter, resp.Y)
+			verifyErr = ver.check(op, seed, cfg.Iters, cfg.Tol, cfg.MaxIter, resp.Y)
 		}
 
 		mu.Lock()
@@ -419,11 +408,11 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 					res.VerifyFailures++
 				}
 			}
-		case errors.As(err, &se) && se.Rejected():
+		case errors.As(err, &se) && se.rejected():
 			res.Rejected++
-		case errors.As(err, &se) && se.DeadlineExceeded():
+		case errors.As(err, &se) && se.deadlineExceeded():
 			res.Deadlined++
-		case errors.As(err, &se) && se.Shed():
+		case errors.As(err, &se) && se.shed():
 			res.Shed++
 		default:
 			res.Errors++

@@ -349,27 +349,20 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Config returns the server's effective (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
-
-// Register loads/generates the named matrix, partitions it into the
-// server's cluster geometry, converts it to the session's storage format,
-// and readies a session pool — evicting idle matrices if the byte budget
-// requires. Registering the same name with the same spec is idempotent.
-func (s *Server) Register(name string, spec Spec) (MatrixInfo, error) {
-	return s.reg.register(name, spec, s.cfg.Mode, s.cfg.Format)
-}
-
-// RegisterWith is Register with per-matrix mode and format overrides.
-func (s *Server) RegisterWith(name string, spec Spec, mode core.Mode, format matrix.FormatBuilder) (MatrixInfo, error) {
+// registerWith loads/generates the named matrix, partitions it into the
+// server's cluster geometry, converts it to the given storage format (nil:
+// the server's) and readies a session pool in the given mode — evicting
+// idle matrices if the byte budget requires. Registering the same name
+// with the same spec is idempotent.
+func (s *Server) registerWith(name string, spec Spec, mode core.Mode, format matrix.FormatBuilder) (MatrixInfo, error) {
 	if format == nil {
 		format = s.cfg.Format
 	}
 	return s.reg.register(name, spec, mode, format)
 }
 
-// Matrix returns the registered matrix's info.
-func (s *Server) Matrix(name string) (MatrixInfo, error) {
+// matrixInfo returns the registered matrix's info.
+func (s *Server) matrixInfo(name string) (MatrixInfo, error) {
 	ent, err := s.reg.pin(name)
 	if err != nil {
 		return MatrixInfo{}, err

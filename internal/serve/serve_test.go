@@ -15,6 +15,11 @@ import (
 // every test yet wide enough to exercise halo exchange on 4 ranks.
 var testSpec = Spec{Kind: "random", N: 600, Bandwidth: 40, PerRow: 5, Seed: 7, SPD: true}
 
+// register registers a matrix in the server's default mode and format.
+func register(s *Server, name string, spec Spec) (MatrixInfo, error) {
+	return s.registerWith(name, spec, s.cfg.Mode, nil)
+}
+
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s := NewServer(cfg)
@@ -26,7 +31,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // reference cluster with the same geometry.
 func TestServeMulMatchesReference(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 4, Threads: 2})
-	info, err := s.Register("m", testSpec)
+	info, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -41,7 +46,7 @@ func TestServeMulMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mul seed %d: %v", seed, err)
 		}
-		if err := ver.Check(OpMul, seed, 3, 0, 0, resp.Y); err != nil {
+		if err := ver.check(OpMul, seed, 3, 0, 0, resp.Y); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -50,7 +55,7 @@ func TestServeMulMatchesReference(t *testing.T) {
 // A served solve must converge and be bit-identical to the reference CG.
 func TestServeSolveMatchesReference(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 4})
-	info, err := s.Register("m", testSpec)
+	info, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -67,7 +72,7 @@ func TestServeSolveMatchesReference(t *testing.T) {
 	if !resp.Converged {
 		t.Fatalf("solve did not converge: %d iters, residual %g", resp.Iterations, resp.Residual)
 	}
-	if err := ver.Check(OpSolve, 1, 0, 1e-10, 400, resp.Y); err != nil {
+	if err := ver.check(OpSolve, 1, 0, 1e-10, 400, resp.Y); err != nil {
 		t.Error(err)
 	}
 }
@@ -76,11 +81,11 @@ func TestServeSolveMatchesReference(t *testing.T) {
 // different one, an error.
 func TestRegisterIdempotent(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2})
-	a, err := s.Register("m", testSpec)
+	a, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	b, err := s.Register("m", testSpec)
+	b, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("re-register: %v", err)
 	}
@@ -90,7 +95,7 @@ func TestRegisterIdempotent(t *testing.T) {
 	other := testSpec
 	other.Seed = 99
 	var val *ValidationError
-	if _, err := s.Register("m", other); !errors.As(err, &val) {
+	if _, err := register(s, "m", other); !errors.As(err, &val) {
 		t.Errorf("conflicting re-register: got %v, want ValidationError", err)
 	}
 }
@@ -99,7 +104,7 @@ func TestRegisterIdempotent(t *testing.T) {
 // before anything is queued.
 func TestRequestValidation(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	var unk *UnknownMatrixError
@@ -125,7 +130,7 @@ func TestRequestValidation(t *testing.T) {
 // rejected immediately with a RejectError naming the tenant.
 func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2, QueueDepth: 3})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	s.pauseDispatch()
@@ -180,7 +185,7 @@ func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 // heavy tenant still has a deep backlog.
 func TestTenantFairness(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2, QueueDepth: 64, InflightCap: 2, BatchMax: 2, Sessions: 1})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	s.pauseDispatch()
@@ -254,7 +259,7 @@ func TestWorldFailureMidRequestRetries(t *testing.T) {
 			return func(int) core.Transport { return faulty }
 		},
 	})
-	info, err := s.Register("m", testSpec)
+	info, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -273,7 +278,7 @@ func TestWorldFailureMidRequestRetries(t *testing.T) {
 		if resp.Attempts > 1 {
 			sawRetry = true
 		}
-		if err := ver.Check(OpMul, seed, 2, 0, 0, resp.Y); err != nil {
+		if err := ver.check(OpMul, seed, 2, 0, 0, resp.Y); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -300,7 +305,7 @@ func TestWorldFailureSurfacesAfterMaxAttempts(t *testing.T) {
 			return func(int) core.Transport { return faulty }
 		},
 	})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	if _, err := s.Do(&Request{Tenant: "a", Matrix: "m", Op: OpMul, Seed: 1}); err == nil {
@@ -326,26 +331,26 @@ func TestRegistryEviction(t *testing.T) {
 	// The budget holds the big matrix and one and a half small ones, whatever
 	// Plan.Bytes makes of them: "a" and "b" fit together, "c" needs one out.
 	sizes := newTestServer(t, Config{Ranks: 2})
-	infoA, err := sizes.Register("a", small)
+	infoA, err := register(sizes, "a", small)
 	if err != nil {
 		t.Fatalf("sizing a: %v", err)
 	}
-	infoC, err := sizes.Register("c", big)
+	infoC, err := register(sizes, "c", big)
 	if err != nil {
 		t.Fatalf("sizing c: %v", err)
 	}
 	s := newTestServer(t, Config{Ranks: 2, ByteBudget: infoC.Bytes + infoA.Bytes*3/2})
-	if _, err := s.Register("a", small); err != nil {
+	if _, err := register(s, "a", small); err != nil {
 		t.Fatalf("register a: %v", err)
 	}
-	if _, err := s.Register("b", Spec{Kind: "random", N: 300, Bandwidth: 20, PerRow: 4, Seed: 2, SPD: true}); err != nil {
+	if _, err := register(s, "b", Spec{Kind: "random", N: 300, Bandwidth: 20, PerRow: 4, Seed: 2, SPD: true}); err != nil {
 		t.Fatalf("register b: %v", err)
 	}
 	// Touch "a" so "b" is the LRU victim when "c" needs the room.
 	if _, err := s.Do(&Request{Tenant: "t", Matrix: "a", Op: OpMul}); err != nil {
 		t.Fatalf("mul a: %v", err)
 	}
-	if _, err := s.Register("c", big); err != nil {
+	if _, err := register(s, "c", big); err != nil {
 		t.Fatalf("register c: %v", err)
 	}
 	st := s.Stats()
@@ -364,7 +369,7 @@ func TestRegistryEviction(t *testing.T) {
 // Requests still queued at Close must fail with ErrClosed, not hang.
 func TestCloseFailsQueuedRequests(t *testing.T) {
 	s := NewServer(Config{Ranks: 2, QueueDepth: 16})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	s.pauseDispatch()
@@ -401,7 +406,7 @@ func TestCloseFailsQueuedRequests(t *testing.T) {
 // Run with -race this doubles as the dispatcher's race stress.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2, Threads: 2, QueueDepth: 128, Sessions: 2, BatchMax: 4})
-	info, err := s.Register("m", testSpec)
+	info, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -427,7 +432,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 						errCh <- err
 						continue
 					}
-					if err := ver.Check(OpSolve, seed, 0, 1e-8, 300, resp.Y); err != nil {
+					if err := ver.check(OpSolve, seed, 0, 1e-8, 300, resp.Y); err != nil {
 						errCh <- err
 					}
 				} else {
@@ -436,7 +441,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 						errCh <- err
 						continue
 					}
-					if err := ver.Check(OpMul, seed, 2, 0, 0, resp.Y); err != nil {
+					if err := ver.check(OpMul, seed, 2, 0, 0, resp.Y); err != nil {
 						errCh <- err
 					}
 				}
@@ -466,7 +471,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 // requests).
 func TestDispatcherBatchesCompatibleRequests(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2, QueueDepth: 32, InflightCap: 16, BatchMax: 8, Sessions: 1})
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	s.pauseDispatch()

@@ -14,7 +14,7 @@ func BenchmarkWireMul(b *testing.B) {
 	spec := Spec{Kind: "random", N: 4000, Bandwidth: 64, PerRow: 8, Seed: 1, SPD: true}
 	s := NewServer(Config{Ranks: 2, Sessions: 1})
 	defer s.Close()
-	if _, err := s.Register("m", spec); err != nil {
+	if _, err := register(s, "m", spec); err != nil {
 		b.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

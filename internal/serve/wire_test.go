@@ -111,7 +111,7 @@ func TestWireMalformedFrames(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	if _, err := s.Register("m", testSpec); err != nil {
+	if _, err := register(s, "m", testSpec); err != nil {
 		t.Fatal(err)
 	}
 	rows := testSpec.N
@@ -273,7 +273,7 @@ func TestWireNonFiniteResult(t *testing.T) {
 
 	solve := OpRequest{Tenant: "a", Matrix: "m", X: x, MaxIter: 5}
 	expect500("json solve", c.post("/v1/solve", solve, &viaJSON), ContentTypeF64)
-	_, err = c.Solve(solve)
+	_, err = c.solve(solve)
 	expect500("f64 solve", err, "NaN")
 }
 
@@ -295,19 +295,6 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// Client.Stats goes through the same status check as every other call.
-func TestClientStatsStatus(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeError(w, ErrDraining)
-	}))
-	defer srv.Close()
-	_, err := (&Client{Base: srv.URL, HTTP: srv.Client()}).Stats()
-	var se *StatusError
-	if !errors.As(err, &se) || !se.Shed() {
-		t.Fatalf("Stats against a 503: got %v, want a Shed StatusError", err)
-	}
-}
-
 // Concurrent clients over recycled vectors: every op's x is decoded into a
 // vector an earlier op used and its y is computed in another, and every Y
 // must still be the reference's bits. Under -race this also shows that a
@@ -316,7 +303,7 @@ func TestVecPoolConcurrentClients(t *testing.T) {
 	s := newTestServer(t, Config{Ranks: 2, Sessions: 2, BatchMax: 4, QueueDepth: 64})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	info, err := s.Register("m", testSpec)
+	info, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -340,12 +327,12 @@ func TestVecPoolConcurrentClients(t *testing.T) {
 				req := OpRequest{Tenant: []string{"a", "b"}[w%2], Matrix: "m", Seed: seed, X: x}
 				if i%4 == 3 {
 					req.Tol, req.MaxIter = 1e-8, 500
-					resp, err := c.Solve(req)
+					resp, err := c.solve(req)
 					if err != nil {
 						t.Errorf("client %d solve %d: %v", w, i, err)
 						return
 					}
-					if err := ver.Check(OpSolve, seed, 0, req.Tol, req.MaxIter, resp.Y); err != nil {
+					if err := ver.check(OpSolve, seed, 0, req.Tol, req.MaxIter, resp.Y); err != nil {
 						t.Errorf("client %d solve %d: %v", w, i, err)
 					}
 					continue
@@ -356,7 +343,7 @@ func TestVecPoolConcurrentClients(t *testing.T) {
 					t.Errorf("client %d mul %d: %v", w, i, err)
 					return
 				}
-				if err := ver.Check(OpMul, seed, req.Iters, 0, 0, resp.Y); err != nil {
+				if err := ver.check(OpMul, seed, req.Iters, 0, 0, resp.Y); err != nil {
 					t.Errorf("client %d mul %d: %v", w, i, err)
 				}
 			}
@@ -386,7 +373,7 @@ func TestVecPoolKeepsVectorsOfFailedOps(t *testing.T) {
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	info, err := s.Register("m", testSpec)
+	info, err := register(s, "m", testSpec)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -396,7 +383,7 @@ func TestVecPoolKeepsVectorsOfFailedOps(t *testing.T) {
 
 	_, err = c.Mul(OpRequest{Tenant: "a", Matrix: "m", X: x, DeadlineMs: 100})
 	var se *StatusError
-	if !errors.As(err, &se) || !se.DeadlineExceeded() {
+	if !errors.As(err, &se) || !se.deadlineExceeded() {
 		t.Fatalf("mul over the slow link: got %v, want a 504", err)
 	}
 	if _, err = c.Mul(OpRequest{Tenant: "a", Matrix: "m", X: x, Iters: -1}); err == nil {
@@ -415,7 +402,7 @@ func TestVecPoolKeepsVectorsOfFailedOps(t *testing.T) {
 		t.Fatalf("verifier: %v", err)
 	}
 	defer ver.Close()
-	if err := ver.Check(OpMul, 3, 1, 0, 0, resp.Y); err != nil {
+	if err := ver.check(OpMul, 3, 1, 0, 0, resp.Y); err != nil {
 		t.Error(err)
 	}
 	if got := s.vecs.puts.Load(); got != 2 {

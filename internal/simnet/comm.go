@@ -9,7 +9,7 @@ import (
 
 // comm is one simulated rank's communicator. The same object serves both
 // driving disciplines: foreign cluster goroutines block through its gate,
-// session procs through the des kernel (proc is set by Session.Spawn).
+// session procs through the des kernel (proc is set by session.spawn).
 type comm struct {
 	w    *world
 	rank int

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the capacity planner: the paper's process layouts and
-// code-balance model (Eqs. 1/2, Figs. 5/6) on the simnet Session, so the
+// code-balance model (Eqs. 1/2, Figs. 5/6) on the simnet session, so the
 // simulated strong-scaling points exercise the SAME core.Comm
 // persistent-channel surface the real runtime uses — Start/Wait halo
 // exchanges, modeled barriers — instead of a parallel MPI re-enactment.
@@ -84,8 +84,8 @@ func ParseLayout(s string) (Layout, error) {
 	return 0, fmt.Errorf("simnet: unknown layout %q (valid: %s)", s, strings.Join(LayoutTokens(), ", "))
 }
 
-// RanksPerNode returns how many MPI processes this layout places on a node.
-func (l Layout) RanksPerNode(node *machine.NodeSpec) int {
+// ranksPerNode returns how many MPI processes this layout places on a node.
+func (l Layout) ranksPerNode(node *machine.NodeSpec) int {
 	switch l {
 	case ProcPerCore:
 		return node.CoresPerNode()
@@ -210,7 +210,7 @@ type PointConfig struct {
 
 // RanksFor returns the number of MPI ranks this configuration runs.
 func (c *PointConfig) RanksFor() int {
-	return c.Nodes * c.Layout.RanksPerNode(&c.Cluster.Node)
+	return c.Nodes * c.Layout.ranksPerNode(&c.Cluster.Node)
 }
 
 // Result summarizes one simulated strong-scaling point.
@@ -334,7 +334,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 	}
 
 	procsPerNode := ranks / cfg.Nodes
-	sess, err := NewSession(Config{
+	sess, err := newSession(Config{
 		Machine:        cfg.Cluster,
 		RanksPerNode:   procsPerNode,
 		AsyncProgress:  cfg.AsyncProgress,
@@ -344,7 +344,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sys := sess.Sys()
+	sys := sess.sys()
 
 	// Memory resources: one per LD per node, with the spMVM-achievable
 	// bandwidth curve (Fig. 3).
@@ -421,7 +421,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 		localBytes := nl*(entryB+kappa) + rows*24
 		remoteBytes := nr*(entryB+kappa) + rows*16
 
-		sess.Spawn(r, func(pr *des.Proc, c core.Comm) error {
+		sess.spawn(r, func(pr *des.Proc, c core.Comm) error {
 			// Compile the halo schedule into persistent channels once, like
 			// the resident Workers of internal/core.
 			recvs := make([]core.PersistentRequest, len(wl.Recvs[r]))
@@ -545,7 +545,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 		})
 	}
 
-	if err := sess.Run(); err != nil {
+	if err := sess.run(); err != nil {
 		return Result{}, fmt.Errorf("simnet: %w", err)
 	}
 	perIter := (times[1] - times[0]) / float64(iters)
@@ -553,7 +553,7 @@ func RunPoint(cfg PointConfig, wl *Workload) (Result, error) {
 		TimePerIter: perIter,
 		Ranks:       ranks,
 		ThreadsEach: procs[0].totalW,
-		Events:      sess.Sim().Events(),
+		Events:      sess.sim().Events(),
 	}
 	if perIter > 0 && !math.IsNaN(perIter) {
 		res.GFlops = 2 * float64(wl.TotalNnz) / perIter / 1e9

@@ -23,14 +23,14 @@ const (
 )
 
 // slowSession builds a session of the slow machine, one rank per node.
-func slowSession(t *testing.T, ranks, eagerB int, async bool) *Session {
+func slowSession(t *testing.T, ranks, eagerB int, async bool) *session {
 	t.Helper()
 	spec := machine.WestmereCluster()
 	spec.Net = machine.NetSpec{
 		Kind: machine.FatTree, LinkBW: 100, Latency: slowLat,
 		IntraBW: 1000, IntraLatency: 1e-4, EagerThreshold: eagerB,
 	}
-	s, err := NewSession(Config{Machine: spec, RanksPerNode: 1, AsyncProgress: async}, ranks)
+	s, err := newSession(Config{Machine: spec, RanksPerNode: 1, AsyncProgress: async}, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,9 @@ func pause(p *des.Proc, d float64) {
 // pingOnce runs one persistent send of n elements from rank 0 to an Irecv
 // on rank 1. Each side posts at its *At time and computes for its *Gap
 // before entering Wait. It returns when each side's Wait returned.
-func pingOnce(t *testing.T, s *Session, n int, sendAt, sendGap, recvAt, recvGap float64) (sent, recvd float64) {
+func pingOnce(t *testing.T, s *session, n int, sendAt, sendGap, recvAt, recvGap float64) (sent, recvd float64) {
 	t.Helper()
-	s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+	s.spawn(0, func(p *des.Proc, c core.Comm) error {
 		ps, err := c.SendInit(1, 0, make([]float64, n))
 		if err != nil {
 			return err
@@ -65,7 +65,7 @@ func pingOnce(t *testing.T, s *Session, n int, sendAt, sendGap, recvAt, recvGap 
 		sent = p.Now()
 		return nil
 	})
-	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+	s.spawn(1, func(p *des.Proc, c core.Comm) error {
 		pause(p, recvAt)
 		req, err := c.Irecv(0, 0, make([]float64, n))
 		if err != nil {
@@ -78,7 +78,7 @@ func pingOnce(t *testing.T, s *Session, n int, sendAt, sendGap, recvAt, recvGap 
 		recvd = p.Now()
 		return nil
 	})
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	return sent, recvd
@@ -147,7 +147,7 @@ func TestSessionContentionOnSharedNIC(t *testing.T) {
 	var done [2]float64
 	for r := 0; r < 2; r++ {
 		r := r
-		s.Spawn(r, func(p *des.Proc, c core.Comm) error {
+		s.spawn(r, func(p *des.Proc, c core.Comm) error {
 			ps, err := c.SendInit(2, 0, make([]float64, rdvElems))
 			if err != nil {
 				return err
@@ -162,7 +162,7 @@ func TestSessionContentionOnSharedNIC(t *testing.T) {
 			return nil
 		})
 	}
-	s.Spawn(2, func(p *des.Proc, c core.Comm) error {
+	s.spawn(2, func(p *des.Proc, c core.Comm) error {
 		var reqs [2]core.Request
 		for src := range reqs {
 			req, err := c.Irecv(src, 0, make([]float64, rdvElems))
@@ -178,7 +178,7 @@ func TestSessionContentionOnSharedNIC(t *testing.T) {
 		}
 		return nil
 	})
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	want := 2*slowLat + 2*rdvWire
@@ -194,7 +194,7 @@ func TestSessionContentionOnSharedNIC(t *testing.T) {
 func TestSessionMessageOrderingFIFO(t *testing.T) {
 	s := slowSession(t, 2, 80, false)
 	first, second := make([]float64, 8), make([]float64, 8)
-	s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+	s.spawn(0, func(p *des.Proc, c core.Comm) error {
 		for _, msg := range [][]float64{{1, 1, 1, 1, 1, 1, 1, 1}, {2}} {
 			if _, err := c.Isend(1, 5, msg); err != nil {
 				return err
@@ -202,7 +202,7 @@ func TestSessionMessageOrderingFIFO(t *testing.T) {
 		}
 		return nil
 	})
-	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+	s.spawn(1, func(p *des.Proc, c core.Comm) error {
 		r1, err := c.Irecv(0, 5, first)
 		if err != nil {
 			return err
@@ -216,7 +216,7 @@ func TestSessionMessageOrderingFIFO(t *testing.T) {
 		}
 		return r1.Wait()
 	})
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range first {
@@ -236,7 +236,7 @@ func TestSessionBarrierCost(t *testing.T) {
 	var release [4]float64
 	for r := 0; r < 4; r++ {
 		r := r
-		s.Spawn(r, func(p *des.Proc, c core.Comm) error {
+		s.spawn(r, func(p *des.Proc, c core.Comm) error {
 			pause(p, float64(r)) // staggered arrivals: the last at t=3
 			if err := c.Barrier(); err != nil {
 				return err
@@ -245,7 +245,7 @@ func TestSessionBarrierCost(t *testing.T) {
 			return nil
 		})
 	}
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	want := 3 + 2*slowLat
@@ -262,7 +262,7 @@ func TestBarrierReusable(t *testing.T) {
 	counts := make([]int, 3)
 	for r := 0; r < 3; r++ {
 		r := r
-		s.Spawn(r, func(p *des.Proc, c core.Comm) error {
+		s.spawn(r, func(p *des.Proc, c core.Comm) error {
 			for round := 0; round < 5; round++ {
 				if err := c.Barrier(); err != nil {
 					return err
@@ -272,7 +272,7 @@ func TestBarrierReusable(t *testing.T) {
 			return nil
 		})
 	}
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	for r, c := range counts {
@@ -292,7 +292,7 @@ func TestDeterministicExchange(t *testing.T) {
 		var last float64
 		for r := 0; r < ranks; r++ {
 			r := r
-			s.Spawn(r, func(p *des.Proc, c core.Comm) error {
+			s.spawn(r, func(p *des.Proc, c core.Comm) error {
 				next := (r + 1) % ranks
 				prev := (r + ranks - 1) % ranks
 				for it := 0; it < 3; it++ {
@@ -315,7 +315,7 @@ func TestDeterministicExchange(t *testing.T) {
 				return nil
 			})
 		}
-		if err := s.Run(); err != nil {
+		if err := s.run(); err != nil {
 			t.Fatal(err)
 		}
 		return last

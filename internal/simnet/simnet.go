@@ -25,7 +25,7 @@
 //     reductions combine in rank order), while event interleaving may vary
 //     run to run with goroutine scheduling.
 //
-//   - Session mode (NewSession): ranks are des.Procs — coroutines the
+//   - Session mode (newSession): ranks are des.Procs — coroutines the
 //     kernel resumes one at a time — and a single Run drains the heap.
 //     This is strictly deterministic event-for-event (Sim.Events is a run
 //     fingerprint) and is what cmd/spmv-sim uses for capacity planning. A

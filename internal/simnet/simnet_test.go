@@ -12,9 +12,9 @@ import (
 )
 
 // session2 builds a 2-rank session on the default machine.
-func session2(t *testing.T) *Session {
+func session2(t *testing.T) *session {
 	t.Helper()
-	s, err := NewSession(Config{}, 2)
+	s, err := newSession(Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +26,14 @@ func TestSessionEagerPingPong(t *testing.T) {
 	s := session2(t)
 	got := make([]float64, 3)
 	var tRecv float64
-	s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+	s.spawn(0, func(p *des.Proc, c core.Comm) error {
 		req, err := c.Isend(1, 7, []float64{1, 2, 3})
 		if err != nil {
 			return err
 		}
 		return req.Wait()
 	})
-	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+	s.spawn(1, func(p *des.Proc, c core.Comm) error {
 		req, err := c.Irecv(0, 7, got)
 		if err != nil {
 			return err
@@ -44,7 +44,7 @@ func TestSessionEagerPingPong(t *testing.T) {
 		tRecv = p.Now()
 		return nil
 	})
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -67,7 +67,7 @@ func TestSessionRendezvousNeedsBothEndpoints(t *testing.T) {
 	const n = 1 << 16 // 512 KiB ≫ eager threshold
 	const gap = 1.0e-3
 	run := func(async bool) float64 {
-		s, err := NewSession(Config{RanksPerNode: 1, AsyncProgress: async}, 2)
+		s, err := newSession(Config{RanksPerNode: 1, AsyncProgress: async}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestSessionRendezvousNeedsBothEndpoints(t *testing.T) {
 		buf := make([]float64, n)
 		data[n-1] = 42
 		var tRecv float64
-		s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+		s.spawn(0, func(p *des.Proc, c core.Comm) error {
 			ps, err := c.SendInit(1, 0, data)
 			if err != nil {
 				return err
@@ -85,7 +85,7 @@ func TestSessionRendezvousNeedsBothEndpoints(t *testing.T) {
 			}
 			return ps.Wait() // rendezvous Wait blocks until delivery
 		})
-		s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+		s.spawn(1, func(p *des.Proc, c core.Comm) error {
 			req, err := c.Irecv(0, 0, buf)
 			if err != nil {
 				return err
@@ -97,7 +97,7 @@ func TestSessionRendezvousNeedsBothEndpoints(t *testing.T) {
 			tRecv = p.Now()
 			return nil
 		})
-		if err := s.Run(); err != nil {
+		if err := s.run(); err != nil {
 			t.Fatal(err)
 		}
 		if buf[n-1] != 42 {
@@ -122,13 +122,13 @@ func TestSessionCollectiveRounds(t *testing.T) {
 	// Repeated barrier/reduce/gather rounds through the double-buffered
 	// round state, with canonical ascending-rank combines.
 	const ranks, rounds = 5, 7
-	s, err := NewSession(Config{}, ranks)
+	s, err := newSession(Config{}, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < ranks; r++ {
 		r := r
-		s.Spawn(r, func(p *des.Proc, c core.Comm) error {
+		s.spawn(r, func(p *des.Proc, c core.Comm) error {
 			for round := 0; round < rounds; round++ {
 				if err := c.Barrier(); err != nil {
 					return err
@@ -161,7 +161,7 @@ func TestSessionCollectiveRounds(t *testing.T) {
 			return nil
 		})
 	}
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,12 +171,12 @@ func TestSessionAllreduceLengthMismatch(t *testing.T) {
 	var errs [2]error
 	for r := 0; r < 2; r++ {
 		r := r
-		s.Spawn(r, func(p *des.Proc, c core.Comm) error {
+		s.spawn(r, func(p *des.Proc, c core.Comm) error {
 			_, errs[r] = c.Allreduce(core.OpSum, make([]float64, 1+r))
 			return nil
 		})
 	}
-	if err := s.Run(); err == nil {
+	if err := s.run(); err == nil {
 		t.Fatal("mismatched Allreduce did not fail the session")
 	}
 	var mm *core.MismatchError
@@ -189,14 +189,14 @@ func TestPersistentChannelRoundTrips(t *testing.T) {
 	// Persistent Start/Wait cycles deliver fresh buffer contents each
 	// iteration in both regimes (eager snapshot, rendezvous zero-copy).
 	for _, n := range []int{8, 1 << 15} { // eager | rendezvous
-		s, err := NewSession(Config{}, 2)
+		s, err := newSession(Config{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const iters = 5
 		src := make([]float64, n)
 		dst := make([]float64, n)
-		s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+		s.spawn(0, func(p *des.Proc, c core.Comm) error {
 			ps, err := c.SendInit(1, 0, src)
 			if err != nil {
 				return err
@@ -212,7 +212,7 @@ func TestPersistentChannelRoundTrips(t *testing.T) {
 			}
 			return nil
 		})
-		s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+		s.spawn(1, func(p *des.Proc, c core.Comm) error {
 			pr, err := c.RecvInit(0, 0, dst)
 			if err != nil {
 				return err
@@ -230,7 +230,7 @@ func TestPersistentChannelRoundTrips(t *testing.T) {
 			}
 			return nil
 		})
-		if err := s.Run(); err != nil {
+		if err := s.run(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestPersistentStartWhileInFlight(t *testing.T) {
 	// a caller bug and errs; the world stays healthy.
 	s := session2(t)
 	var startErr error
-	s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+	s.spawn(0, func(p *des.Proc, c core.Comm) error {
 		pr, err := c.RecvInit(1, 0, make([]float64, 4))
 		if err != nil {
 			return err
@@ -252,14 +252,14 @@ func TestPersistentStartWhileInFlight(t *testing.T) {
 		startErr = pr.Start() //reprolint:ignore persistwait this test exercises the double-Start error path
 		return nil
 	})
-	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+	s.spawn(1, func(p *des.Proc, c core.Comm) error {
 		req, err := c.Isend(0, 0, make([]float64, 4))
 		if err != nil {
 			return err
 		}
 		return req.Wait()
 	})
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	if startErr == nil || !strings.Contains(startErr.Error(), "still in flight") {
@@ -455,7 +455,7 @@ func TestPersistentSendSnapshotsAtStart(t *testing.T) {
 					src[i] = v
 				}
 			}
-			s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+			s.spawn(0, func(p *des.Proc, c core.Comm) error {
 				ps, err := c.SendInit(1, 0, src)
 				if err != nil {
 					return err
@@ -478,7 +478,7 @@ func TestPersistentSendSnapshotsAtStart(t *testing.T) {
 				}
 				return nil
 			})
-			s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+			s.spawn(1, func(p *des.Proc, c core.Comm) error {
 				pr, err := c.RecvInit(0, 0, dst)
 				if err != nil {
 					return err
@@ -502,7 +502,7 @@ func TestPersistentSendSnapshotsAtStart(t *testing.T) {
 				}
 				return nil
 			})
-			if err := s.Run(); err != nil {
+			if err := s.run(); err != nil {
 				t.Fatalf("n=%d recvFirst=%v: %v", n, recvFirst, err)
 			}
 		}
@@ -517,7 +517,7 @@ func TestPersistentSendTruncationCopiesNothing(t *testing.T) {
 		s := session2(t)
 		backing := []float64{7, 7, 7, 7, 7, 7, 7, 7}
 		var recvErr error
-		s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+		s.spawn(0, func(p *des.Proc, c core.Comm) error {
 			ps, err := c.SendInit(1, 0, []float64{1, 2, 3, 4, 5, 6})
 			if err != nil {
 				return err
@@ -530,7 +530,7 @@ func TestPersistentSendTruncationCopiesNothing(t *testing.T) {
 			}
 			return ps.Wait()
 		})
-		s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+		s.spawn(1, func(p *des.Proc, c core.Comm) error {
 			pr, err := c.RecvInit(0, 0, backing[:4])
 			if err != nil {
 				return err
@@ -543,7 +543,7 @@ func TestPersistentSendTruncationCopiesNothing(t *testing.T) {
 			}
 			return nil
 		})
-		_ = s.Run() // the world failed; what matters is what the receiver saw
+		_ = s.run() // the world failed; what matters is what the receiver saw
 		var te *core.TruncationError
 		if !errors.As(recvErr, &te) || te.Len != 6 || te.Cap != 4 {
 			t.Errorf("recvFirst=%v: receiver got %v, want a TruncationError 6 into 4", recvFirst, recvErr)
@@ -557,11 +557,11 @@ func TestPersistentSendTruncationCopiesNothing(t *testing.T) {
 }
 
 func TestSessionRunPanicIsRecoverable(t *testing.T) {
-	// A rank body's panic arrives at Session.Run's caller with its value,
+	// A rank body's panic arrives at session.run's caller with its value,
 	// and the rank it stranded inside a collective is unwound, not leaked.
 	s := session2(t)
-	s.Spawn(0, func(p *des.Proc, c core.Comm) error { return c.Barrier() })
-	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+	s.spawn(0, func(p *des.Proc, c core.Comm) error { return c.Barrier() })
+	s.spawn(1, func(p *des.Proc, c core.Comm) error {
 		p.Sleep(1e-6)
 		panic("rank 1 lost it")
 	})
@@ -570,8 +570,8 @@ func TestSessionRunPanicIsRecoverable(t *testing.T) {
 			t.Errorf("recovered %v, want the body's panic value", r)
 		}
 	}()
-	_ = s.Run()
-	t.Error("Session.Run returned past a panicking rank")
+	_ = s.run()
+	t.Error("session.run returned past a panicking rank")
 }
 
 func TestTransientAndPersistentShareChannelFIFO(t *testing.T) {
@@ -585,7 +585,7 @@ func TestTransientAndPersistentShareChannelFIFO(t *testing.T) {
 			const lag = 1e-3
 			pbuf := make([]float64, n)
 			got := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
-			s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+			s.spawn(0, func(p *des.Proc, c core.Comm) error {
 				ps, err := c.SendInit(1, 5, pbuf)
 				if err != nil {
 					return err
@@ -615,7 +615,7 @@ func TestTransientAndPersistentShareChannelFIFO(t *testing.T) {
 				}
 				return c.Waitall(r1, r3)
 			})
-			s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+			s.spawn(1, func(p *des.Proc, c core.Comm) error {
 				pr, err := c.RecvInit(0, 5, got[1])
 				if err != nil {
 					return err
@@ -639,7 +639,7 @@ func TestTransientAndPersistentShareChannelFIFO(t *testing.T) {
 				}
 				return c.Waitall(r0, r2)
 			})
-			if err := s.Run(); err != nil {
+			if err := s.run(); err != nil {
 				t.Fatalf("n=%d recvFirst=%v: %v", n, recvFirst, err)
 			}
 			for k, b := range got {
@@ -661,7 +661,7 @@ func persistentPair(t *testing.T, src, dst []float64, recvFirst bool) int {
 	s := session2(t)
 	const lag = 1e-3
 	var pr core.PersistentRequest
-	s.Spawn(0, func(p *des.Proc, c core.Comm) error {
+	s.spawn(0, func(p *des.Proc, c core.Comm) error {
 		ps, err := c.SendInit(1, 0, src)
 		if err != nil {
 			return err
@@ -674,7 +674,7 @@ func persistentPair(t *testing.T, src, dst []float64, recvFirst bool) int {
 		}
 		return ps.Wait()
 	})
-	s.Spawn(1, func(p *des.Proc, c core.Comm) error {
+	s.spawn(1, func(p *des.Proc, c core.Comm) error {
 		var err error
 		if pr, err = c.RecvInit(0, 0, dst); err != nil {
 			return err
@@ -687,7 +687,7 @@ func persistentPair(t *testing.T, src, dst []float64, recvFirst bool) int {
 		}
 		return pr.Wait()
 	})
-	if err := s.Run(); err != nil {
+	if err := s.run(); err != nil {
 		t.Fatalf("len %d recvFirst=%v: %v", len(src), recvFirst, err)
 	}
 	return pr.(*precv).p.n

@@ -74,7 +74,7 @@ func Sweep(cfg SweepConfig, workload func(ranks int) (*Workload, error)) ([]Swee
 	if format == "" {
 		format = "crs"
 	}
-	perNode := cfg.Layout.RanksPerNode(&cfg.Cluster.Node)
+	perNode := cfg.Layout.ranksPerNode(&cfg.Cluster.Node)
 	var points []SweepPoint
 	for _, ranks := range cfg.RankCounts {
 		if ranks <= 0 || ranks%perNode != 0 {
@@ -86,7 +86,7 @@ func Sweep(cfg SweepConfig, workload func(ranks int) (*Workload, error)) ([]Swee
 			return points, err
 		}
 		for _, mode := range modes {
-			if cfg.Budget != nil && cfg.Budget.Exceeded() {
+			if cfg.Budget != nil && cfg.Budget.exceeded() {
 				return points, fmt.Errorf("%w after %d of %d points",
 					ErrBudgetExceeded, len(points), len(cfg.RankCounts)*len(modes))
 			}

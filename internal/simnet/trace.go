@@ -29,8 +29,8 @@ func (t *Trace) add(rank int, phase string, t0, t1 float64) {
 	t.Spans = append(t.Spans, Span{Rank: rank, Phase: phase, T0: t0, T1: t1})
 }
 
-// Window returns the spans overlapping [t0, t1].
-func (t *Trace) Window(t0, t1 float64) []Span {
+// window returns the spans overlapping [t0, t1].
+func (t *Trace) window(t0, t1 float64) []Span {
 	var out []Span
 	for _, s := range t.Spans {
 		if s.T1 > t0 && s.T0 < t1 {
@@ -52,7 +52,7 @@ func (t *Trace) LastIteration() []Span {
 	if cut < 0 {
 		return t.Spans
 	}
-	return t.Window(cut, 1e18)
+	return t.window(cut, 1e18)
 }
 
 // phaseGlyphs maps phases to Gantt characters, mirroring Fig. 4's legend:

@@ -144,7 +144,7 @@ func TestTraceWindow(t *testing.T) {
 		{Rank: 0, Phase: "a", T0: 0, T1: 1},
 		{Rank: 0, Phase: "b", T0: 2, T1: 3},
 	}}
-	w := tr.Window(1.5, 2.5)
+	w := tr.window(1.5, 2.5)
 	if len(w) != 1 || w[0].Phase != "b" {
 		t.Errorf("window = %+v", w)
 	}

@@ -23,7 +23,7 @@ func (b *WallBudget) Elapsed() time.Duration {
 	return time.Since(b.start) //reprolint:ignore wallclock the sanctioned planner wall-clock budget
 }
 
-// Exceeded reports whether the budget has run out.
-func (b *WallBudget) Exceeded() bool {
+// exceeded reports whether the budget has run out.
+func (b *WallBudget) exceeded() bool {
 	return b.limit > 0 && b.Elapsed() > b.limit
 }

@@ -1,6 +1,9 @@
 package solver
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CGResult reports the outcome of a conjugate-gradient solve.
 type CGResult struct {
@@ -24,7 +27,7 @@ func CG(op Operator, b, x []float64, tol float64, maxIter int) (CGResult, error)
 	if tol <= 0 || maxIter < 1 {
 		return CGResult{}, fmt.Errorf("solver: CG needs tol > 0 and maxIter ≥ 1")
 	}
-	bNorm := Norm2(b)
+	bNorm := norm2(b)
 	if bNorm == 0 {
 		for i := range x {
 			x[i] = 0
@@ -42,12 +45,12 @@ func CG(op Operator, b, x []float64, tol float64, maxIter int) (CGResult, error)
 		r[i] = b[i] - ap[i]
 	}
 	p := append([]float64(nil), r...)
-	rr := Dot(r, r)
+	rr := dot(r, r)
 
 	for k := 0; k < maxIter; k++ {
 		op.Apply(ap, p)
 		res.MVMs++
-		pap := Dot(p, ap)
+		pap := dot(p, ap)
 		if pap <= 0 {
 			return res, fmt.Errorf("solver: CG broke down (pᵀAp = %g ≤ 0); operator not SPD?", pap)
 		}
@@ -74,5 +77,5 @@ func sqrtNonneg(v float64) float64 {
 	if v < 0 {
 		v = 0
 	}
-	return mathSqrt(v)
+	return math.Sqrt(v)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // The one-sweep CG update leaves x and r, and returns rᵀr, bit for bit as
-// Axpy, Axpy, Dot applied in sequence do — on every tail length of the
+// axpy, axpy, dot applied in sequence do — on every tail length of the
 // four-way unrolled loop and on a rank's share of Poisson Small.
 func TestCGUpdateEqualsAxpyAxpyDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
@@ -23,23 +23,23 @@ func TestCGUpdateEqualsAxpyAxpyDot(t *testing.T) {
 		}
 		alpha := rng.NormFloat64()
 		wantX, wantR := append([]float64(nil), x...), append([]float64(nil), r...)
-		Axpy(alpha, p, wantX)
-		Axpy(-alpha, ap, wantR)
-		wantRR := Dot(wantR, wantR)
+		axpy(alpha, p, wantX)
+		axpy(-alpha, ap, wantR)
+		wantRR := dot(wantR, wantR)
 
 		gotRR := cgUpdate(alpha, p, ap, x, r)
 		if math.Float64bits(gotRR) != math.Float64bits(wantRR) {
-			t.Errorf("n=%d: rᵀr = %x, Dot gives %x", n, math.Float64bits(gotRR), math.Float64bits(wantRR))
+			t.Errorf("n=%d: rᵀr = %x, dot gives %x", n, math.Float64bits(gotRR), math.Float64bits(wantRR))
 		}
 		for i := 0; i < n; i++ {
 			if math.Float64bits(x[i]) != math.Float64bits(wantX[i]) || math.Float64bits(r[i]) != math.Float64bits(wantR[i]) {
-				t.Fatalf("n=%d: element %d differs from the Axpy sequence", n, i)
+				t.Fatalf("n=%d: element %d differs from the axpy sequence", n, i)
 			}
 		}
 	}
 }
 
-// Dot's four partial sums hold the elements i ≡ 0..3 (mod 4) and are
+// dot's four partial sums hold the elements i ≡ 0..3 (mod 4) and are
 // combined as (s0+s1)+(s2+s3), whatever the length.
 func TestDotSummationOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -50,8 +50,8 @@ func TestDotSummationOrder(t *testing.T) {
 			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
 			s[i%4] += x[i] * y[i]
 		}
-		if got, want := Dot(x, y), (s[0]+s[1])+(s[2]+s[3]); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("n=%d: Dot = %x, want %x", n, math.Float64bits(got), math.Float64bits(want))
+		if got, want := dot(x, y), (s[0]+s[1])+(s[2]+s[3]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d: dot = %x, want %x", n, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }

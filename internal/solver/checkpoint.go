@@ -32,17 +32,6 @@ import (
 // iteration everywhere — after a crash, processes agree on the newest
 // COMMON iteration (see ckpt.Agree) and restore it.
 
-// Checkpoint is what a solver snapshot must expose to the generic
-// machinery (the ckpt file codec, the supervisor's bookkeeping).
-type Checkpoint interface {
-	// Valid reports whether the checkpoint holds a complete snapshot.
-	Valid() bool
-	// Iteration returns the iteration the snapshot resumes at.
-	Iteration() int
-	// RowRange returns the global row span [lo, hi) the snapshot covers.
-	RowRange() (lo, hi int)
-}
-
 // localRowSpan returns the contiguous global row span of the cluster's
 // locally driven ranks.
 func localRowSpan(cl *core.Cluster) (lo, hi int) {
@@ -90,62 +79,18 @@ func NewCGCheckpoint(cl *core.Cluster, maxIter int) *CGCheckpoint {
 	}
 }
 
-func (c *CGCheckpoint) Valid() bool            { return c != nil && c.valid }
-func (c *CGCheckpoint) Iteration() int         { return c.Iter }
-func (c *CGCheckpoint) RowRange() (lo, hi int) { return c.Lo, c.Hi }
+// Valid reports whether the checkpoint holds a complete snapshot.
+func (c *CGCheckpoint) Valid() bool { return c != nil && c.valid }
 
 // Seal marks a checkpoint assembled by an external loader (the ckpt file
 // codec) as complete.
 func (c *CGCheckpoint) Seal() { c.valid = true }
 
-// LanczosCheckpoint is the complete state of a DistLanczos iteration at
-// the top of step Step, covering rows [Lo, Hi): the orthonormal basis
-// built so far (Step+1 vectors of Hi−Lo local rows each, flattened),
-// the tridiagonal coefficients, and the MVM count.
-type LanczosCheckpoint struct {
-	Lo, Hi int
-	Step   int
-	MVMs   int
-	Alphas []float64 // Step entries
-	Betas  []float64 // Step entries
-	Basis  []float64 // (Step+1) × (Hi−Lo), vector-major
-
-	valid   bool
-	pending atomic.Int32
-}
-
-// NewLanczosCheckpoint sizes a checkpoint for DistLanczos solves of up to
-// m steps on the cluster.
-func NewLanczosCheckpoint(cl *core.Cluster, m int) *LanczosCheckpoint {
-	lo, hi := localRowSpan(cl)
-	n := hi - lo
-	return &LanczosCheckpoint{
-		Lo: lo, Hi: hi,
-		Alphas: make([]float64, 0, m),
-		Betas:  make([]float64, 0, m),
-		Basis:  make([]float64, m*n),
-	}
-}
-
-func (c *LanczosCheckpoint) Valid() bool            { return c != nil && c.valid }
-func (c *LanczosCheckpoint) Iteration() int         { return c.Step }
-func (c *LanczosCheckpoint) RowRange() (lo, hi int) { return c.Lo, c.Hi }
-
-// Seal marks an externally assembled checkpoint complete.
-func (c *LanczosCheckpoint) Seal() { c.valid = true }
-
 // checkSpan validates that a checkpoint's row span matches the cluster's.
-func checkSpan(cl *core.Cluster, ck Checkpoint, what string) error {
+func checkSpan(cl *core.Cluster, ck *CGCheckpoint, what string) error {
 	lo, hi := localRowSpan(cl)
-	clo, chi := ck.RowRange()
-	if clo != lo || chi != hi {
-		return fmt.Errorf("solver: %s covers rows [%d,%d), cluster drives [%d,%d)", what, clo, chi, lo, hi)
+	if ck.Lo != lo || ck.Hi != hi {
+		return fmt.Errorf("solver: %s covers rows [%d,%d), cluster drives [%d,%d)", what, ck.Lo, ck.Hi, lo, hi)
 	}
 	return nil
 }
-
-// Interface satisfaction checks.
-var (
-	_ Checkpoint = (*CGCheckpoint)(nil)
-	_ Checkpoint = (*LanczosCheckpoint)(nil)
-)

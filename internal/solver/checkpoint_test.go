@@ -92,46 +92,6 @@ func TestDistCGCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDistLanczosCheckpointRestoreBitIdentical is the Lanczos analogue:
-// basis and tridiagonal coefficients restored on a fresh cluster
-// reproduce the uninterrupted Ritz values bit for bit.
-func TestDistLanczosCheckpointRestoreBitIdentical(t *testing.T) {
-	const m, seed, every = 40, int64(11), 10
-	_, cl := poissonCluster(t, 4)
-
-	ref, err := DistLanczos(cl, m, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Steps <= every {
-		t.Fatalf("reference took %d steps, need > %d", ref.Steps, every)
-	}
-
-	ck := NewLanczosCheckpoint(cl, m)
-	got, err := DistLanczosOpt(cl, m, seed, LanczosOptions{CheckpointEvery: every, Checkpoint: ck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEqual(got.Eigenvalues, ref.Eigenvalues) {
-		t.Fatal("checkpointing perturbed the iteration")
-	}
-	if !ck.Valid() || ck.Step%every != 0 {
-		t.Fatalf("latest snapshot invalid or off-cadence (valid=%v, step=%d)", ck.Valid(), ck.Step)
-	}
-
-	_, cl2 := poissonCluster(t, 4)
-	rec, err := DistLanczosOpt(cl2, m, seed, LanczosOptions{Restore: ck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Steps != ref.Steps || rec.MVMs != ref.MVMs {
-		t.Fatalf("restored run: %d steps / %d MVMs, reference: %d / %d", rec.Steps, rec.MVMs, ref.Steps, ref.MVMs)
-	}
-	if !bitsEqual(rec.Eigenvalues, ref.Eigenvalues) {
-		t.Fatal("restored Ritz values are not bit-identical to the reference")
-	}
-}
-
 // TestCheckpointOptionValidation pins the misuse errors: a cadence with
 // no buffer, a restore from an empty snapshot, and a snapshot whose row
 // span belongs to a different cluster shape.
@@ -153,11 +113,5 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	bad.Seal()
 	if _, err := DistCGOpt(cl, b, x, CGOptions{Tol: 1e-8, MaxIter: 10, Restore: bad}); err == nil {
 		t.Fatal("restore with a mismatched row span accepted")
-	}
-	if _, err := DistLanczosOpt(cl, 10, 1, LanczosOptions{CheckpointEvery: 2}); err == nil {
-		t.Fatal("Lanczos cadence without a buffer accepted")
-	}
-	if _, err := DistLanczosOpt(cl, 10, 1, LanczosOptions{Restore: NewLanczosCheckpoint(cl, 10)}); err == nil {
-		t.Fatal("Lanczos restore from an empty checkpoint accepted")
 	}
 }

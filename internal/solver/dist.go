@@ -41,7 +41,7 @@ import (
 
 // distDot computes the global dot product of two distributed vectors.
 func distDot(c core.Comm, a, b []float64) (float64, error) {
-	return c.AllreduceScalar(core.OpSum, Dot(a, b))
+	return c.AllreduceScalar(core.OpSum, dot(a, b))
 }
 
 // runBody dispatches one SPMD body, under a deadline when the options
@@ -285,30 +285,11 @@ func DistCGOpt(cl *core.Cluster, b, x []float64, opt CGOptions) (CGResult, error
 	return results[first], nil
 }
 
-// LanczosOptions configures DistLanczosOpt: checkpoint cadence and
-// buffers, and a snapshot to resume from (see CGOptions for the shared
-// semantics).
-type LanczosOptions struct {
-	CheckpointEvery int
-	Checkpoint      *LanczosCheckpoint
-	OnCheckpoint    func(*LanczosCheckpoint) error
-	Restore         *LanczosCheckpoint
-	// Context arms an end-to-end deadline over the sweep (see
-	// CGOptions.Context); a cut-short sweep surfaces a
-	// *core.DeadlineError with Op "DistLanczos".
-	Context context.Context
-}
-
 // DistLanczos runs the symmetric Lanczos iteration SPMD across the
 // cluster's ranks with full reorthogonalization against the distributed
 // basis, and returns the Ritz values — the distributed version of the
 // paper's exact-diagonalization workload.
 func DistLanczos(cl *core.Cluster, m int, seed int64) (LanczosResult, error) {
-	return DistLanczosOpt(cl, m, seed, LanczosOptions{})
-}
-
-// DistLanczosOpt is DistLanczos with checkpointing and restore.
-func DistLanczosOpt(cl *core.Cluster, m int, seed int64, opt LanczosOptions) (LanczosResult, error) {
 	if cl == nil {
 		return LanczosResult{}, fmt.Errorf("solver: DistLanczos needs a cluster")
 	}
@@ -322,24 +303,6 @@ func DistLanczosOpt(cl *core.Cluster, m int, seed int64, opt LanczosOptions) (La
 	if m > n {
 		m = n
 	}
-	numLocal := len(cl.LocalRanks())
-	if opt.CheckpointEvery > 0 {
-		if opt.Checkpoint == nil {
-			return LanczosResult{}, fmt.Errorf("solver: CheckpointEvery set without a Checkpoint buffer")
-		}
-		if err := checkSpan(cl, opt.Checkpoint, "Lanczos checkpoint"); err != nil {
-			return LanczosResult{}, err
-		}
-		opt.Checkpoint.pending.Store(int32(numLocal))
-	}
-	if opt.Restore != nil {
-		if !opt.Restore.Valid() {
-			return LanczosResult{}, fmt.Errorf("solver: Restore from an empty Lanczos checkpoint")
-		}
-		if err := checkSpan(cl, opt.Restore, "Lanczos restore"); err != nil {
-			return LanczosResult{}, err
-		}
-	}
 	mode := cl.Mode()
 	// The start vector is generated globally so results are independent of
 	// the rank count.
@@ -350,7 +313,7 @@ func DistLanczosOpt(cl *core.Cluster, m int, seed int64, opt LanczosOptions) (La
 	results := make([]LanczosResult, cl.Ranks())
 	var alphas, betas []float64 // written by the first local rank only
 
-	err := runBody(cl, opt.Context, "DistLanczos", func(w *core.Worker) error {
+	err := cl.Run(func(w *core.Worker) error {
 		c := w.Comm
 		rank := c.Rank()
 		lo, hi := w.Plan.Rows.Lo, w.Plan.Rows.Hi
@@ -375,36 +338,16 @@ func DistLanczosOpt(cl *core.Cluster, m int, seed int64, opt LanczosOptions) (La
 			return nil
 		}
 
-		startStep := 0
-		if rst := opt.Restore; rst != nil {
-			// Resume: the basis and the tridiagonal coefficients are loaded
-			// verbatim (the start-vector normalization — a collective — is
-			// skipped on every rank alike). wv is not part of the state:
-			// the next step overwrites it before reading it.
-			off := lo - rst.Lo
-			span := rst.Hi - rst.Lo
-			la = append(la, rst.Alphas...)
-			lb = append(lb, rst.Betas...)
-			for vi := 0; vi <= rst.Step; vi++ {
-				dst := basisBuf[vi*nl : (vi+1)*nl]
-				copy(dst, rst.Basis[vi*span+off:vi*span+off+nl])
-				basis = append(basis, dst)
-			}
-			startStep = rst.Step
-			res.MVMs = rst.MVMs
-			res.Steps = rst.Step
-		} else {
-			v := append([]float64(nil), start[lo:hi]...)
-			vv, err := distDot(c, v, v)
-			if err != nil {
-				return err
-			}
-			Scale(1/math.Sqrt(vv), v)
-			copy(basisBuf[:nl], v)
-			basis = append(basis, basisBuf[:nl])
+		v := append([]float64(nil), start[lo:hi]...)
+		vv, err := distDot(c, v, v)
+		if err != nil {
+			return err
 		}
+		scale(1/math.Sqrt(vv), v)
+		copy(basisBuf[:nl], v)
+		basis = append(basis, basisBuf[:nl])
 
-		for j := startStep; j < m; j++ {
+		for j := 0; j < m; j++ {
 			if err := apply(wv, basis[j]); err != nil {
 				return err
 			}
@@ -413,16 +356,16 @@ func DistLanczosOpt(cl *core.Cluster, m int, seed int64, opt LanczosOptions) (La
 				return err
 			}
 			la = append(la, alpha)
-			Axpy(-alpha, basis[j], wv)
+			axpy(-alpha, basis[j], wv)
 			if j > 0 {
-				Axpy(-lb[j-1], basis[j-1], wv)
+				axpy(-lb[j-1], basis[j-1], wv)
 			}
 			for _, u := range basis {
 				uw, err := distDot(c, u, wv)
 				if err != nil {
 					return err
 				}
-				Axpy(-uw, u, wv)
+				axpy(-uw, u, wv)
 			}
 			ww, err := distDot(c, wv, wv)
 			if err != nil {
@@ -436,32 +379,8 @@ func DistLanczosOpt(cl *core.Cluster, m int, seed int64, opt LanczosOptions) (La
 			lb = append(lb, beta)
 			next := basisBuf[len(basis)*nl : (len(basis)+1)*nl]
 			copy(next, wv)
-			Scale(1/beta, next)
+			scale(1/beta, next)
 			basis = append(basis, next)
-			if every := opt.CheckpointEvery; every > 0 && (j+1)%every == 0 && j+1 < m {
-				// Top-of-step-j+1 state: the full basis and coefficient
-				// prefix. Same disjoint-rows + last-rank-seals discipline
-				// as the CG snapshot.
-				ck := opt.Checkpoint
-				off := lo - ck.Lo
-				span := ck.Hi - ck.Lo
-				for vi, u := range basis {
-					copy(ck.Basis[vi*span+off:vi*span+off+nl], u)
-				}
-				if ck.pending.Add(-1) == 0 {
-					ck.pending.Store(int32(numLocal))
-					ck.Step = j + 1
-					ck.MVMs = res.MVMs
-					ck.Alphas = append(ck.Alphas[:0], la...)
-					ck.Betas = append(ck.Betas[:0], lb...)
-					ck.valid = true
-					if opt.OnCheckpoint != nil {
-						if err := opt.OnCheckpoint(ck); err != nil {
-							return err
-						}
-					}
-				}
-			}
 		}
 		if rank == firstLocal {
 			// The tridiagonal coefficients come from global reductions, so
@@ -476,7 +395,7 @@ func DistLanczosOpt(cl *core.Cluster, m int, seed int64, opt LanczosOptions) (La
 	}
 
 	res := results[firstLocal]
-	eigs, err := SymTridiagEigenvalues(alphas, betas)
+	eigs, err := symTridiagEigenvalues(alphas, betas)
 	if err != nil {
 		return res, err
 	}

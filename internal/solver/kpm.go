@@ -6,9 +6,6 @@ import (
 	"math/rand"
 )
 
-// mathSqrt is an alias so cg.go avoids an extra import block churn.
-var mathSqrt = math.Sqrt
-
 // KPMResult carries Chebyshev moments and a reconstructed spectral density.
 type KPMResult struct {
 	// Moments are the Jackson-damped Chebyshev moments μ_n.
@@ -65,16 +62,16 @@ func KPMDOS(op Operator, min, max float64, moments, samples, points int, seed in
 			}
 		}
 		copy(t0, r0)
-		mu[0] += Dot(r0, t0)
+		mu[0] += dot(r0, t0)
 		applyScaled(t1, t0)
-		mu[1] += Dot(r0, t1)
+		mu[1] += dot(r0, t1)
 		for m := 2; m < moments; m++ {
 			// T_m = 2·H̃·T_{m-1} - T_{m-2}
 			applyScaled(t2, t1)
 			for i := range t2 {
 				t2[i] = 2*t2[i] - t0[i]
 			}
-			mu[m] += Dot(r0, t2)
+			mu[m] += dot(r0, t2)
 			t0, t1, t2 = t1, t2, t0
 		}
 	}
@@ -111,113 +108,4 @@ func KPMDOS(op Operator, min, max float64, moments, samples, points int, seed in
 		res.Density[i], res.Density[j] = res.Density[j], res.Density[i]
 	}
 	return res, nil
-}
-
-// ChebyshevTimeEvolution propagates |ψ(t)⟩ = e^{-iHt}|ψ(0)⟩ via the
-// Chebyshev expansion, tracking only the real representation's accuracy
-// proxy: it returns the number of matrix-vector products needed for the
-// requested expansion order — the quantity relevant to the paper (time
-// evolution as an spMVM workload, [11]). The actual complex arithmetic is
-// carried in interleaved real/imaginary vectors.
-func ChebyshevTimeEvolution(op Operator, psiRe, psiIm []float64, min, max, t float64, order int) (int, error) {
-	n := op.Dim()
-	if len(psiRe) != n || len(psiIm) != n {
-		return 0, fmt.Errorf("solver: state dimension mismatch")
-	}
-	if order < 2 {
-		return 0, fmt.Errorf("solver: expansion order %d < 2", order)
-	}
-	if min >= max {
-		return 0, fmt.Errorf("solver: need min < max")
-	}
-	a := (max - min) / 2
-	b := (max + min) / 2
-
-	// Bessel coefficients c_m = (2-δ_{m0}) (-i)^m J_m(a·t); we fold the
-	// phase e^{-i b t} into the final state.
-	mvms := 0
-	h := make([]float64, n)
-	applyScaled := func(dstRe, srcRe []float64) {
-		op.Apply(h, srcRe)
-		mvms++
-		for i := range dstRe {
-			dstRe[i] = (h[i] - b*srcRe[i]) / a
-		}
-	}
-
-	// Chebyshev recursion on the complex state, component-wise.
-	t0Re := append([]float64(nil), psiRe...)
-	t0Im := append([]float64(nil), psiIm...)
-	t1Re := make([]float64, n)
-	t1Im := make([]float64, n)
-	applyScaled(t1Re, t0Re)
-	applyScaled(t1Im, t0Im)
-
-	outRe := make([]float64, n)
-	outIm := make([]float64, n)
-	addTerm := func(m int, re, im []float64) {
-		cm := 2 * besselJ(m, a*t)
-		if m == 0 {
-			cm = besselJ(0, a*t)
-		}
-		// (-i)^m cycles 1, -i, -1, i.
-		switch m % 4 {
-		case 0:
-			Axpy(cm, re, outRe)
-			Axpy(cm, im, outIm)
-		case 1:
-			Axpy(cm, im, outRe)
-			Axpy(-cm, re, outIm)
-		case 2:
-			Axpy(-cm, re, outRe)
-			Axpy(-cm, im, outIm)
-		case 3:
-			Axpy(-cm, im, outRe)
-			Axpy(cm, re, outIm)
-		}
-	}
-	addTerm(0, t0Re, t0Im)
-	addTerm(1, t1Re, t1Im)
-	t2Re := make([]float64, n)
-	t2Im := make([]float64, n)
-	for m := 2; m < order; m++ {
-		applyScaled(t2Re, t1Re)
-		applyScaled(t2Im, t1Im)
-		for i := range t2Re {
-			t2Re[i] = 2*t2Re[i] - t0Re[i]
-			t2Im[i] = 2*t2Im[i] - t0Im[i]
-		}
-		addTerm(m, t2Re, t2Im)
-		t0Re, t1Re, t2Re = t1Re, t2Re, t0Re
-		t0Im, t1Im, t2Im = t1Im, t2Im, t0Im
-	}
-	// Global phase e^{-i b t}.
-	c, s := math.Cos(-b*t), math.Sin(-b*t)
-	for i := range outRe {
-		re := outRe[i]*c - outIm[i]*s
-		im := outRe[i]*s + outIm[i]*c
-		psiRe[i], psiIm[i] = re, im
-	}
-	return mvms, nil
-}
-
-// besselJ computes the Bessel function J_m(x) by downward recurrence
-// (Miller's algorithm), sufficient for the moderate orders used here.
-func besselJ(m int, x float64) float64 {
-	if m < 0 {
-		panic("solver: negative Bessel order")
-	}
-	if x == 0 {
-		if m == 0 {
-			return 1
-		}
-		return 0
-	}
-	if m == 0 {
-		return math.J0(x)
-	}
-	if m == 1 {
-		return math.J1(x)
-	}
-	return math.Jn(m, x)
 }

@@ -36,7 +36,7 @@ func Lanczos(op Operator, m int, seed int64) (LanczosResult, error) {
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	Scale(1/Norm2(v), v)
+	scale(1/norm2(v), v)
 
 	var alphas, betas []float64
 	basis := [][]float64{append([]float64(nil), v...)}
@@ -46,28 +46,28 @@ func Lanczos(op Operator, m int, seed int64) (LanczosResult, error) {
 	for j := 0; j < m; j++ {
 		op.Apply(w, basis[j])
 		res.MVMs++
-		alpha := Dot(basis[j], w)
+		alpha := dot(basis[j], w)
 		alphas = append(alphas, alpha)
-		Axpy(-alpha, basis[j], w)
+		axpy(-alpha, basis[j], w)
 		if j > 0 {
-			Axpy(-betas[j-1], basis[j-1], w)
+			axpy(-betas[j-1], basis[j-1], w)
 		}
 		// Full reorthogonalization against the whole basis.
 		for _, u := range basis {
-			Axpy(-Dot(u, w), u, w)
+			axpy(-dot(u, w), u, w)
 		}
-		beta := Norm2(w)
+		beta := norm2(w)
 		res.Steps = j + 1
 		if beta < 1e-12 || j == m-1 {
 			break
 		}
 		betas = append(betas, beta)
 		next := append([]float64(nil), w...)
-		Scale(1/beta, next)
+		scale(1/beta, next)
 		basis = append(basis, next)
 	}
 
-	eigs, err := SymTridiagEigenvalues(alphas, betas)
+	eigs, err := symTridiagEigenvalues(alphas, betas)
 	if err != nil {
 		return res, err
 	}
@@ -88,10 +88,10 @@ func GroundState(op Operator, m int, seed int64) (float64, error) {
 	return r.Eigenvalues[0], nil
 }
 
-// SymTridiagEigenvalues returns the eigenvalues of the symmetric
+// symTridiagEigenvalues returns the eigenvalues of the symmetric
 // tridiagonal matrix with the given diagonal and off-diagonal, ascending.
 // It implements the implicit QL iteration with Wilkinson shifts (tql1).
-func SymTridiagEigenvalues(diag, off []float64) ([]float64, error) {
+func symTridiagEigenvalues(diag, off []float64) ([]float64, error) {
 	n := len(diag)
 	if n == 0 {
 		return nil, nil

@@ -10,7 +10,6 @@ package solver
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/spmv"
 )
@@ -43,46 +42,19 @@ func NewTeamOperator(a *matrix.CSR, team *spmv.Team) *TeamOperator {
 	return &TeamOperator{P: spmv.NewParallel(a, team.Size()), Team: team}
 }
 
-// NewFormatOperator chunks a matrix in any storage format (e.g. SELL-C-σ)
-// for the team, so CG, Lanczos and KPM run unchanged on top of it.
-func NewFormatOperator(f matrix.Format, team *spmv.Team) *TeamOperator {
-	return &TeamOperator{P: spmv.NewParallelFormat(f, team.Size()), Team: team}
-}
-
 // Dim returns the operator dimension.
 func (o *TeamOperator) Dim() int { return o.P.Rows() }
 
 // Apply computes y = A·x on the team.
 func (o *TeamOperator) Apply(y, x []float64) { o.P.MulVec(o.Team, y, x) }
 
-// DistOperator applies the distributed hybrid kernel on a resident
-// core.Cluster: each Apply performs a full halo exchange and multiplication
-// across the cluster's ranks in its current mode, reusing the same rank
-// goroutines, teams and halo buffers call after call.
-type DistOperator struct {
-	Cluster *core.Cluster
-}
-
-// Dim returns the operator dimension.
-func (o *DistOperator) Dim() int { return o.Cluster.Rows() }
-
-// Apply computes y = A·x with the distributed kernel. Operator.Apply has
-// no error channel, so a Cluster.Mul failure (misuse, or a transport
-// failure on a wire backend) panics; error-first callers should drive the
-// cluster directly (Cluster.Mul, solver.DistCG, solver.DistLanczos).
-func (o *DistOperator) Apply(y, x []float64) {
-	if err := o.Cluster.Mul(y, x, 1); err != nil {
-		panic(err.Error())
-	}
-}
-
-// Dot returns xᵀy. It keeps four partial sums — element i goes into sum
+// dot returns xᵀy. It keeps four partial sums — element i goes into sum
 // i mod 4 — and combines them as (s0+s1)+(s2+s3): one chain of dependent
 // additions runs at the adder's latency, four run at its throughput.
 // Every dot product in this package goes through here (or through
 // cgUpdate, which accumulates in the same order), so solves stay
 // bit-identical across transports, modes and restarts.
-func Dot(x, y []float64) float64 {
+func dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -107,7 +79,7 @@ func Dot(x, y []float64) float64 {
 
 // cgUpdate is the vector update of one CG iteration in a single sweep:
 // x += a·p, r −= a·ap, and the return value is rᵀr of the updated r —
-// bit for bit what Axpy(a, p, x), Axpy(-a, ap, r), Dot(r, r) produce, with
+// bit for bit what axpy(a, p, x), axpy(-a, ap, r), dot(r, r) produce, with
 // each vector read once instead of r three times.
 func cgUpdate(a float64, p, ap, x, r []float64) float64 {
 	n := len(r)
@@ -145,20 +117,20 @@ func cgUpdate(a float64, p, ap, x, r []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// Norm2 returns ‖x‖₂.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
+// norm2 returns ‖x‖₂.
+func norm2(x []float64) float64 {
+	return math.Sqrt(dot(x, x))
 }
 
-// Axpy computes y += a·x.
-func Axpy(a float64, x, y []float64) {
+// axpy computes y += a·x.
+func axpy(a float64, x, y []float64) {
 	for i := range x {
 		y[i] += a * x[i]
 	}
 }
 
-// Scale multiplies x by a in place.
-func Scale(a float64, x []float64) {
+// scale multiplies x by a in place.
+func scale(a float64, x []float64) {
 	for i := range x {
 		x[i] *= a
 	}

@@ -9,23 +9,24 @@ import (
 	"repro/internal/formats"
 	"repro/internal/genmat"
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 	"repro/internal/spmv"
 )
 
 // laplacian1D returns the n×n tridiagonal [-1, 2, -1] matrix with known
 // eigenvalues 2 - 2cos(kπ/(n+1)).
 func laplacian1D(n int) *matrix.CSR {
-	var entries []matrix.Coord
+	var entries []matrixtest.Coord
 	for i := 0; i < n; i++ {
-		entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(i), Val: 2})
+		entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32(i), Val: 2})
 		if i > 0 {
-			entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(i - 1), Val: -1})
+			entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32(i - 1), Val: -1})
 		}
 		if i < n-1 {
-			entries = append(entries, matrix.Coord{Row: int32(i), Col: int32(i + 1), Val: -1})
+			entries = append(entries, matrixtest.Coord{Row: int32(i), Col: int32(i + 1), Val: -1})
 		}
 	}
-	a, err := matrix.NewCSRFromCOO(n, n, entries)
+	a, err := matrixtest.NewCSRFromCOO(n, n, entries)
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +44,7 @@ func TestSymTridiagEigenvaluesKnown(t *testing.T) {
 	for i := range off {
 		off[i] = -1
 	}
-	eigs, err := SymTridiagEigenvalues(diag, off)
+	eigs, err := symTridiagEigenvalues(diag, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSymTridiagEigenvaluesKnown(t *testing.T) {
 }
 
 func TestSymTridiagDiagonalOnly(t *testing.T) {
-	eigs, err := SymTridiagEigenvalues([]float64{3, 1, 2}, []float64{0, 0})
+	eigs, err := symTridiagEigenvalues([]float64{3, 1, 2}, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +147,11 @@ func TestLanczosOnHolsteinMatchesDense(t *testing.T) {
 		for i := range y {
 			y[i] = shift*x[i] - y[i]
 		}
-		Scale(1/Norm2(y), y)
+		scale(1/norm2(y), y)
 		copy(x, y)
 	}
 	a.MulVec(y, x)
-	want := Dot(x, y)
+	want := dot(x, y)
 
 	e0, err := GroundState(CSROperator{a}, 70, 3)
 	if err != nil {
@@ -188,13 +189,28 @@ func TestLanczosDistributedOperatorAgrees(t *testing.T) {
 		if err := cl.SetMode(mode); err != nil {
 			t.Fatal(err)
 		}
-		dist, err := GroundState(&DistOperator{Cluster: cl}, 50, 7)
+		dist, err := GroundState(clusterOperator{t, cl}, 50, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(dist-serial) > 1e-9 {
 			t.Errorf("mode %v: distributed E₀ %.12f != serial %.12f", mode, dist, serial)
 		}
+	}
+}
+
+// clusterOperator drives a serial solver through the distributed kernel:
+// one Cluster.Mul per Apply, a failure fails the test.
+type clusterOperator struct {
+	t  *testing.T
+	cl *core.Cluster
+}
+
+func (o clusterOperator) Dim() int { return o.cl.Rows() }
+
+func (o clusterOperator) Apply(y, x []float64) {
+	if err := o.cl.Mul(y, x, 1); err != nil {
+		o.t.Fatal(err)
 	}
 }
 
@@ -255,13 +271,13 @@ func TestCGWithTeamOperator(t *testing.T) {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	if Norm2(r)/Norm2(b) > 1e-7 {
-		t.Errorf("true residual %g too large", Norm2(r)/Norm2(b))
+	if norm2(r)/norm2(b) > 1e-7 {
+		t.Errorf("true residual %g too large", norm2(r)/norm2(b))
 	}
 }
 
 func TestCGRejectsNonSPD(t *testing.T) {
-	a := matrix.NewCSRFromDense([][]float64{{-1, 0}, {0, -1}})
+	a := matrixtest.NewCSRFromDense([][]float64{{-1, 0}, {0, -1}})
 	b := []float64{1, 1}
 	x := make([]float64, 2)
 	if _, err := CG(CSROperator{a}, b, x, 1e-8, 10); err == nil {
@@ -333,73 +349,22 @@ func TestKPMDOSLocatesSpectrum(t *testing.T) {
 	}
 }
 
-func TestChebyshevTimeEvolutionPreservesNorm(t *testing.T) {
-	a := laplacian1D(128)
-	n := 128
-	rng := rand.New(rand.NewSource(8))
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for i := range re {
-		re[i] = rng.NormFloat64()
-	}
-	norm0 := math.Sqrt(Dot(re, re) + Dot(im, im))
-	mvms, err := ChebyshevTimeEvolution(CSROperator{a}, re, im, -0.5, 4.5, 2.0, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm1 := math.Sqrt(Dot(re, re) + Dot(im, im))
-	if math.Abs(norm1-norm0)/norm0 > 1e-8 {
-		t.Errorf("unitarity violated: ‖ψ‖ %.12f → %.12f", norm0, norm1)
-	}
-	if mvms < 48 {
-		t.Errorf("MVM count %d below expansion order", mvms)
-	}
-}
-
-func TestChebyshevEvolutionMatchesEigenphase(t *testing.T) {
-	// Evolve an exact eigenvector: the state must only acquire a phase
-	// e^{-i λ t}.
-	n := 64
-	a := laplacian1D(n)
-	k := 3
-	lambda := 2 - 2*math.Cos(float64(k)*math.Pi/float64(n+1))
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for i := 0; i < n; i++ {
-		re[i] = math.Sin(float64(k) * math.Pi * float64(i+1) / float64(n+1))
-	}
-	norm := Norm2(re)
-	Scale(1/norm, re)
-	orig := append([]float64(nil), re...)
-	tEvolve := 1.7
-	if _, err := ChebyshevTimeEvolution(CSROperator{a}, re, im, -0.5, 4.5, tEvolve, 64); err != nil {
-		t.Fatal(err)
-	}
-	c, s := math.Cos(-lambda*tEvolve), math.Sin(-lambda*tEvolve)
-	for i := range orig {
-		if math.Abs(re[i]-c*orig[i]) > 1e-8 || math.Abs(im[i]-s*orig[i]) > 1e-8 {
-			t.Fatalf("eigenstate evolution wrong at %d: (%.9f, %.9f) vs (%.9f, %.9f)",
-				i, re[i], im[i], c*orig[i], s*orig[i])
-		}
-	}
-}
-
 func TestVectorHelpers(t *testing.T) {
 	x := []float64{3, 4}
-	if Norm2(x) != 5 {
-		t.Errorf("Norm2 = %g", Norm2(x))
+	if norm2(x) != 5 {
+		t.Errorf("Norm2 = %g", norm2(x))
 	}
 	y := []float64{1, 1}
-	Axpy(2, x, y)
+	axpy(2, x, y)
 	if y[0] != 7 || y[1] != 9 {
 		t.Errorf("Axpy = %v", y)
 	}
-	Scale(0.5, y)
+	scale(0.5, y)
 	if y[0] != 3.5 || y[1] != 4.5 {
 		t.Errorf("Scale = %v", y)
 	}
-	if Dot(x, x) != 25 {
-		t.Errorf("Dot = %g", Dot(x, x))
+	if dot(x, x) != 25 {
+		t.Errorf("Dot = %g", dot(x, x))
 	}
 }
 
@@ -431,7 +396,7 @@ func TestCGWithFormatOperator(t *testing.T) {
 	team := spmv.NewTeam(4)
 	defer team.Close()
 	x := make([]float64, n)
-	res, err := CG(NewFormatOperator(sell, team), b, x, 1e-8, 3000)
+	res, err := CG(&TeamOperator{P: spmv.NewParallelFormat(sell, team.Size()), Team: team}, b, x, 1e-8, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,8 +408,8 @@ func TestCGWithFormatOperator(t *testing.T) {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	if Norm2(r)/Norm2(b) > 1e-7 {
-		t.Errorf("true residual %g too large", Norm2(r)/Norm2(b))
+	if norm2(r)/norm2(b) > 1e-7 {
+		t.Errorf("true residual %g too large", norm2(r)/norm2(b))
 	}
 }
 
@@ -460,7 +425,7 @@ func TestLanczosWithFormatOperatorMatchesCSR(t *testing.T) {
 	}
 	team := spmv.NewTeam(2)
 	defer team.Close()
-	got, err := GroundState(NewFormatOperator(sell, team), 80, 5)
+	got, err := GroundState(&TeamOperator{P: spmv.NewParallelFormat(sell, team.Size()), Team: team}, 80, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

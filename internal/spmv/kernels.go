@@ -51,18 +51,10 @@ func (p *Parallel) MulVec(t *Team, y, x []float64) {
 	if len(p.Chunks) > t.Size() {
 		panic(fmt.Sprintf("spmv: %d chunks but team of %d", len(p.Chunks), t.Size()))
 	}
-	t.RunSubteam(len(p.Chunks), func(w int) {
+	t.runSubteam(len(p.Chunks), func(w int) {
 		r := p.Chunks[w]
 		p.F.MulVecBlocks(y, x, r.Lo, r.Hi)
 	})
-}
-
-// ChunkNnz returns the stored-entry count of chunk w (for balance
-// diagnostics).
-func (p *Parallel) ChunkNnz(w int) int64 {
-	r := p.Chunks[w]
-	prefix := p.F.BlockNnzPrefix()
-	return prefix[r.Hi] - prefix[r.Lo]
 }
 
 // CompactCSR stores only the rows of a matrix that hold at least one
@@ -83,32 +75,12 @@ type CompactCSR struct {
 	Val    []float64
 }
 
-// Nnz returns the number of stored entries.
-func (c *CompactCSR) Nnz() int64 {
+// nnz returns the number of stored entries.
+func (c *CompactCSR) nnz() int64 {
 	if len(c.RowPtr) == 0 {
 		return 0
 	}
 	return c.RowPtr[len(c.RowPtr)-1]
-}
-
-// NumStoredRows returns the number of rows with at least one entry.
-func (c *CompactCSR) NumStoredRows() int { return len(c.Rows) }
-
-// Expand returns the equivalent full-row CSR matrix (tests, diagnostics).
-func (c *CompactCSR) Expand() *matrix.CSR {
-	a := &matrix.CSR{
-		NumRows: c.NumRows, NumCols: c.NumCols,
-		RowPtr: make([]int64, c.NumRows+1),
-		ColIdx: append([]int32(nil), c.ColIdx...),
-		Val:    append([]float64(nil), c.Val...),
-	}
-	for p, i := range c.Rows {
-		a.RowPtr[i+1] = c.RowPtr[p+1] - c.RowPtr[p]
-	}
-	for i := 0; i < c.NumRows; i++ {
-		a.RowPtr[i+1] += a.RowPtr[i]
-	}
-	return a
 }
 
 // Validate checks structural invariants.
@@ -129,7 +101,7 @@ func (c *CompactCSR) Validate() error {
 		}
 		prev = i
 	}
-	nnz := c.Nnz()
+	nnz := c.nnz()
 	if int64(len(c.ColIdx)) != nnz || int64(len(c.Val)) != nnz {
 		return fmt.Errorf("spmv: compact nnz %d but len(ColIdx)=%d len(Val)=%d", nnz, len(c.ColIdx), len(c.Val))
 	}
@@ -174,6 +146,8 @@ func (c *CompactCSR) MulStoredRowsAdd(y, x []float64, lo, hi int) {
 // split at boundary localCols: the entries with columns ≥ localCols,
 // stored for halo-coupled rows only. It asks nothing of the order of a row's
 // columns.
+//
+//repro:api column-split machinery, deleted with the row schedule (ROADMAP item 10)
 func NewCompactRemote(a *matrix.CSR, localCols int) *CompactCSR {
 	if localCols < 0 || localCols > a.NumCols {
 		panic(fmt.Sprintf("spmv: split boundary %d outside [0,%d]", localCols, a.NumCols))
@@ -270,11 +244,11 @@ func (v *LocalView) BlockNnzPrefix() []int64 {
 	return prefix
 }
 
-// Chunks returns BalanceNnz(v.BlockNnzPrefix(), parts) in one sweep over
+// chunks returns BalanceNnz(v.BlockNnzPrefix(), parts) in one sweep over
 // Mid, without building the prefix: every worker of a cluster chunks its
 // local pass, and a row-count-sized scratch array each showed in the time
 // a cluster takes to come up.
-func (v *LocalView) Chunks(parts int) []Range {
+func (v *LocalView) chunks(parts int) []Range {
 	rowPtr := v.A.RowPtr
 	pos, sum := 0, int64(0) // sum counts the local entries of rows [0, pos)
 	return balance(len(v.Mid), v.nnz, parts, func(lo, maxHi int, target int64) int {
@@ -352,6 +326,8 @@ type Split struct {
 // rows. Row-wise the two passes still write the same result vector, the
 // second with += semantics. core.BuildPlan fills a Split in while it writes
 // the matrix; this constructor is for a matrix that already exists.
+//
+//repro:api column-split machinery, deleted with the row schedule (ROADMAP item 10)
 func NewSplit(a *matrix.CSR, localCols int) *Split {
 	if localCols < 0 || localCols > a.NumCols {
 		panic(fmt.Sprintf("spmv: split boundary %d outside [0,%d]", localCols, a.NumCols))
@@ -399,6 +375,8 @@ type FormatSplit struct {
 // NewFormatSplit builds the format-generic split of a at column boundary
 // localCols: the local half via the builder's column-range conversion, the
 // remote half compacted to halo-coupled rows.
+//
+//repro:api column-split machinery, deleted with the row schedule (ROADMAP item 10)
 func NewFormatSplit(a *matrix.CSR, localCols int, b matrix.FormatBuilder) (*FormatSplit, error) {
 	local, err := b.BuildColRange(a, 0, localCols)
 	if err != nil {
@@ -411,7 +389,7 @@ func NewFormatSplit(a *matrix.CSR, localCols int, b matrix.FormatBuilder) (*Form
 // on its stored (incl. padded) entries.
 func (s *FormatSplit) LocalChunks(parts int) []Range {
 	if v, ok := s.Local.(*LocalView); ok {
-		return v.Chunks(parts)
+		return v.chunks(parts)
 	}
 	return BalanceNnz(s.Local.BlockNnzPrefix(), parts)
 }
@@ -424,7 +402,7 @@ func (s *FormatSplit) RemoteChunks(parts int) []Range {
 
 // MulVecLocal computes y = A_local·x over local block chunks on the team.
 func (s *FormatSplit) MulVecLocal(t *Team, chunks []Range, y, x []float64) {
-	t.RunSubteam(len(chunks), func(w int) {
+	t.runSubteam(len(chunks), func(w int) {
 		r := chunks[w]
 		s.Local.MulVecBlocks(y, x, r.Lo, r.Hi)
 	})
@@ -432,7 +410,7 @@ func (s *FormatSplit) MulVecLocal(t *Team, chunks []Range, y, x []float64) {
 
 // MulVecRemoteAdd computes y += A_remote·x over stored-row chunks.
 func (s *FormatSplit) MulVecRemoteAdd(t *Team, chunks []Range, y, x []float64) {
-	t.RunSubteam(len(chunks), func(w int) {
+	t.runSubteam(len(chunks), func(w int) {
 		r := chunks[w]
 		s.Remote.MulStoredRowsAdd(y, x, r.Lo, r.Hi)
 	})

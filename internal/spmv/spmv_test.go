@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/genmat"
 	"repro/internal/matrix"
+	"repro/internal/matrix/matrixtest"
 )
 
 func randomMatrix(seed int64, rows, cols int) *matrix.CSR {
@@ -61,7 +62,7 @@ func TestTeamSubteam(t *testing.T) {
 	team := NewTeam(6)
 	defer team.Close()
 	var count int64
-	team.RunSubteam(4, func(w int) {
+	team.runSubteam(4, func(w int) {
 		if w >= 4 {
 			t.Errorf("worker %d ran outside subteam", w)
 		}
@@ -70,7 +71,7 @@ func TestTeamSubteam(t *testing.T) {
 	if count != 4 {
 		t.Errorf("subteam ran %d workers, want 4", count)
 	}
-	team.RunSubteam(0, func(w int) { t.Error("empty subteam ran") })
+	team.runSubteam(0, func(w int) { t.Error("empty subteam ran") })
 }
 
 func TestTeamReusable(t *testing.T) {
@@ -201,7 +202,8 @@ func TestParallelChunkBalance(t *testing.T) {
 	p := NewParallel(a, 8)
 	var minW, maxW int64 = 1 << 62, 0
 	for w := range p.Chunks {
-		nnz := p.ChunkNnz(w)
+		prefix := a.BlockNnzPrefix()
+		nnz := prefix[p.Chunks[w].Hi] - prefix[p.Chunks[w].Lo]
 		if nnz < minW {
 			minW = nnz
 		}
@@ -237,8 +239,8 @@ func TestSplitKernelsMatchSerial(t *testing.T) {
 			t.Fatalf("remote part holds column %d < %d", c, boundary)
 		}
 	}
-	if s.Local.Nnz()+s.Remote.Nnz() != a.Nnz() {
-		t.Fatalf("split lost entries: %d + %d != %d", s.Local.Nnz(), s.Remote.Nnz(), a.Nnz())
+	if s.Local.Nnz()+s.Remote.nnz() != a.Nnz() {
+		t.Fatalf("split lost entries: %d + %d != %d", s.Local.Nnz(), s.Remote.nnz(), a.Nnz())
 	}
 
 	x := randVec(12, 400)
@@ -259,7 +261,7 @@ func TestSplitKernelsMatchSerial(t *testing.T) {
 func TestSplitBoundaryEdges(t *testing.T) {
 	a := randomMatrix(5, 50, 50)
 	all := NewSplit(a, 50)
-	if all.Remote.Nnz() != 0 {
+	if all.Remote.nnz() != 0 {
 		t.Error("boundary at NumCols should leave remote empty")
 	}
 	none := NewSplit(a, 0)
@@ -315,18 +317,18 @@ func TestCompactRemoteEquivalentToFullRows(t *testing.T) {
 	// Every stored row is nonempty and the row list is ascending (checked by
 	// Validate); the compact stored-row pass must match the full-row add
 	// kernel on the expanded matrix bit for bit, whatever the chunking.
-	full := rem.Expand()
+	full := expand(rem)
 	if err := full.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if full.Nnz() != rem.Nnz() {
-		t.Fatalf("expand lost entries: %d != %d", full.Nnz(), rem.Nnz())
+	if full.Nnz() != rem.nnz() {
+		t.Fatalf("expand lost entries: %d != %d", full.Nnz(), rem.nnz())
 	}
 	x := randVec(22, 300)
 	y0 := randVec(23, 300) // nonzero start exercises the += semantics
 	yFull := append([]float64(nil), y0...)
 	full.MulVecBlocksAdd(yFull, x, 0, 300)
-	n := rem.NumStoredRows()
+	n := len(rem.Rows)
 	for _, chunks := range [][]Range{
 		{{0, n}},
 		BalanceNnz(rem.RowPtr, 4),
@@ -344,8 +346,8 @@ func TestCompactRemoteEquivalentToFullRows(t *testing.T) {
 	}
 	// The compact representation must be genuinely smaller than full-row
 	// storage when most rows have no remote entries.
-	if rem.NumStoredRows() > a.NumRows {
-		t.Errorf("compact remote stores %d rows > %d matrix rows", rem.NumStoredRows(), a.NumRows)
+	if len(rem.Rows) > a.NumRows {
+		t.Errorf("compact remote stores %d rows > %d matrix rows", len(rem.Rows), a.NumRows)
 	}
 }
 
@@ -358,10 +360,10 @@ func TestSplitHalvesMatchRestrictCols(t *testing.T) {
 		if err := s.Remote.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if !s.Remote.Expand().Equal(a.RestrictCols(boundary, a.NumCols)) {
+		if !matrixtest.Equal(expand(s.Remote), a.RestrictCols(boundary, a.NumCols)) {
 			t.Fatalf("boundary %d: compact remote differs from RestrictCols(%d, %d)", boundary, boundary, a.NumCols)
 		}
-		if !viewCopy(s.Local).Equal(a.RestrictCols(0, boundary)) {
+		if !matrixtest.Equal(viewCopy(s.Local), a.RestrictCols(0, boundary)) {
 			t.Fatalf("boundary %d: local view differs from RestrictCols(0, %d)", boundary, boundary)
 		}
 	}
@@ -400,7 +402,7 @@ func TestLocalViewChunksMatchBalanceNnz(t *testing.T) {
 		a := randomMatrix(seed, n, n)
 		v := NewSplit(a, rng.Intn(n+1)).Local
 		for parts := 1; parts <= 9; parts++ {
-			got, want := v.Chunks(parts), BalanceNnz(v.BlockNnzPrefix(), parts)
+			got, want := v.chunks(parts), BalanceNnz(v.BlockNnzPrefix(), parts)
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d, %d rows, %d parts: Chunks = %v, BalanceNnz = %v", seed, n, parts, got, want)
 			}
@@ -437,7 +439,7 @@ func TestFormatSplitCSRBuilderMatchesSplit(t *testing.T) {
 	if !ok {
 		t.Fatalf("CSRBuilder local half is %T, want *matrix.CSR", fs.Local)
 	}
-	if !local.Equal(viewCopy(ref.Local)) {
+	if !matrixtest.Equal(local, viewCopy(ref.Local)) {
 		t.Fatal("format split local half differs from NewSplit's")
 	}
 	// Two-pass product through the format split matches the serial kernel
@@ -514,4 +516,21 @@ func TestTeamRunAfterClosePanics(t *testing.T) {
 		}
 	}()
 	team.Run(func(int) {})
+}
+
+// expand returns the full-row CSR matrix equivalent to c.
+func expand(c *CompactCSR) *matrix.CSR {
+	a := &matrix.CSR{
+		NumRows: c.NumRows, NumCols: c.NumCols,
+		RowPtr: make([]int64, c.NumRows+1),
+		ColIdx: append([]int32(nil), c.ColIdx...),
+		Val:    append([]float64(nil), c.Val...),
+	}
+	for p, i := range c.Rows {
+		a.RowPtr[i+1] = c.RowPtr[p+1] - c.RowPtr[p]
+	}
+	for i := 0; i < c.NumRows; i++ {
+		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	return a
 }

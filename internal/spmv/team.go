@@ -7,7 +7,7 @@
 // worksharing is managed by the caller.
 //
 // A region is entered in one of two ways, and they are the paper's two
-// thread roles. Exec (and Run, RunSubteam) is an OpenMP parallel region:
+// thread roles. Exec (and Run, runSubteam) is an OpenMP parallel region:
 // the calling goroutine is thread 0 and runs chunk 0 itself, only threads
 // 1..n-1 are woken, and a team of one runs its region as a plain function
 // call — the master thread that has just finished its MPI calls goes on to
@@ -198,11 +198,11 @@ func (t *Team) Size() int { return t.size }
 // itself or Close.
 func (t *Team) Run(f func(worker int)) { t.run(t.size, f) }
 
-// RunSubteam executes f for worker indices [0, n) only; the rest stay idle.
+// runSubteam executes f for worker indices [0, n) only; the rest stay idle.
 // This is the explicit subteam worksharing of the paper's task mode (§3.2),
 // where one thread is reserved for communication and the remaining threads
 // compute.
-func (t *Team) RunSubteam(n int, f func(worker int)) {
+func (t *Team) runSubteam(n int, f func(worker int)) {
 	if n < 0 || n > t.size {
 		panic(fmt.Sprintf("spmv: subteam size %d outside [0,%d]", n, t.size))
 	}

@@ -33,24 +33,6 @@ func Triad(n, reps, workers int) Result {
 	})
 }
 
-// Copy measures a(i) = b(i). Traffic: 8 + 8 + 8 = 24 bytes per element.
-func Copy(n, reps, workers int) Result {
-	return run("copy", n, reps, workers, 24, func(a, b, c []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a[i] = b[i]
-		}
-	})
-}
-
-// Add measures a(i) = b(i) + c(i). Traffic: 32 bytes per element.
-func Add(n, reps, workers int) Result {
-	return run("add", n, reps, workers, 32, func(a, b, c []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a[i] = b[i] + c[i]
-		}
-	})
-}
-
 func run(kernel string, n, reps, workers, bytesPerElem int, body func(a, b, c []float64, lo, hi int)) Result {
 	if n < 1 || reps < 1 || workers < 1 {
 		panic(fmt.Sprintf("stream: invalid parameters n=%d reps=%d workers=%d", n, reps, workers))

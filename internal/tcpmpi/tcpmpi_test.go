@@ -286,8 +286,14 @@ func TestAllreduceBitIdenticalToChanmpi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.Run(func(c *chanmpi.Comm) error {
-		res, err := c.Allreduce(chanmpi.OpSum, ins[c.Rank()])
+	chanComms := make([]core.Comm, size)
+	for r := range chanComms {
+		if chanComms[r], err = cw.Comm(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := spmd(chanComms, func(c core.Comm) error {
+		res, err := c.Allreduce(core.OpSum, ins[c.Rank()])
 		want[c.Rank()] = append([]float64(nil), res...)
 		return err
 	}); err != nil {
