@@ -7,16 +7,15 @@ import (
 	"repro/internal/core"
 )
 
-// Checkpointing: the distributed solvers can snapshot their complete
-// iteration state into a caller-owned checkpoint every k iterations, at a
-// collective boundary, and later resume from such a snapshot on a FRESH
+// Checkpointing: DistCG can snapshot its complete iteration state into a
+// caller-owned checkpoint every k iterations, at a collective boundary, and later resume from such a snapshot on a FRESH
 // cluster — the recovery path of core.Supervisor after a world failure.
 //
 // The crucial property is bit-identity: a restored solve must reproduce
 // the uninterrupted run's iterates exactly. Two design points make that
 // hold. First, the snapshot is taken at the top-of-iteration boundary and
-// restores everything the loop carries across iterations — for CG the
-// iterated residual r is restored, never recomputed as b − A·x, because
+// restores everything the loop carries across iterations — the iterated
+// residual r is restored, never recomputed as b − A·x, because
 // the recomputation differs from the iterated r in floating point even
 // though both are "the residual". Second, every scalar the loop derives
 // (dot products, norms) comes from the runtime's canonical-rank-order

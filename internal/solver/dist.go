@@ -44,18 +44,17 @@ func distDot(c core.Comm, a, b []float64) (float64, error) {
 	return c.AllreduceScalar(core.OpSum, dot(a, b))
 }
 
-// runBody dispatches one SPMD body, under a deadline when the options
-// carry a context. A cut-short run is re-labelled with the solver's own
-// entry point, so callers see Op "DistCG"/"DistLanczos" rather than the
-// cluster-level "Run".
-func runBody(cl *core.Cluster, ctx context.Context, op string, body func(*core.Worker) error) error {
+// runBody dispatches DistCG's SPMD body, under a deadline when the options
+// carry a context. A cut-short run is re-labelled with the solver's entry
+// point, so callers see Op "DistCG" rather than the cluster-level "Run".
+func runBody(cl *core.Cluster, ctx context.Context, body func(*core.Worker) error) error {
 	if ctx == nil {
 		return cl.Run(body)
 	}
 	err := cl.RunContext(ctx, body)
 	var de *core.DeadlineError
 	if errors.As(err, &de) {
-		return &core.DeadlineError{Op: op, Err: de.Err}
+		return &core.DeadlineError{Op: "DistCG", Err: de.Err}
 	}
 	return err
 }
@@ -134,7 +133,7 @@ func DistCGOpt(cl *core.Cluster, b, x []float64, opt CGOptions) (CGResult, error
 	results := make([]CGResult, cl.Ranks())
 	breakdowns := make([]error, cl.Ranks())
 
-	err := runBody(cl, opt.Context, "DistCG", func(w *core.Worker) error {
+	err := runBody(cl, opt.Context, func(w *core.Worker) error {
 		c := w.Comm
 		rank := c.Rank()
 		lo, hi := w.Plan.Rows.Lo, w.Plan.Rows.Hi
